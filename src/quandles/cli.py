@@ -4,7 +4,7 @@ Exit codes separate three failure kinds: 2 for usage errors (bad flags,
 bounds exceeded), 3 for input files that do not parse into the expected
 shape, and 1 for well-formed inputs whose mathematical answer is negative
 (axiom violations, non-isomorphic pairs, census mismatches).  All output is
-deterministic: equal inputs produce equal bytes regardless of --jobs.
+deterministic: equal inputs produce equal bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import formats
 from .augment import HomError
-from .config import resolve_bound
+from .config import BoundError, resolve_bound
 from .decompose import MeshError, decompose, decomposition_tree, semidisjoint_union
 from .enumeration import enumerate_connected
 from .oracle import enumerate_all
@@ -61,11 +61,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     q = _read_quandle(args.file)
     orbits = " ".join("{" + ",".join(map(str, orbit)) + "}" for orbit in q.orbits())
-    _emit(f"order: {q.order}\n")
-    _emit(f"orbits: {orbits}\n")
-    _emit(f"connected: {'true' if q.is_connected() else 'false'}\n")
-    _emit(f"inner order: {len(q.inner_group())}\n")
-    _emit(f"automorphism order: {len(q.automorphism_group())}\n")
+    # Every field is computed before anything is written, so a refused
+    # bound leaves stdout empty.
+    fields = [
+        ("order", q.order),
+        ("orbits", orbits),
+        ("connected", "true" if q.is_connected() else "false"),
+        ("inner order", len(q.inner_group())),
+        ("automorphism order", len(q.automorphism_group())),
+    ]
+    _emit("".join(f"{name}: {value}\n" for name, value in fields))
     return EXIT_OK
 
 
@@ -82,17 +87,11 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     q = _read_quandle(args.file)
-    if getattr(args, "tree", False):
+    if args.tree:
         obj = formats.tree_to_obj(decomposition_tree(q))
     else:
         obj = formats.decomposition_to_obj(decompose(q))
     _emit(formats.canonical_json(obj))
-    return EXIT_OK
-
-
-def _cmd_tree(args: argparse.Namespace) -> int:
-    q = _read_quandle(args.file)
-    _emit(formats.canonical_json(formats.tree_to_obj(decomposition_tree(q))))
     return EXIT_OK
 
 
@@ -123,10 +122,9 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 def _entries_for_enumerate(args: argparse.Namespace) -> list[dict]:
     if args.method == "structure":
-        entries = enumerate_connected(args.order, use_filters=not args.no_filters,
-                                      jobs=args.jobs)
+        entries = enumerate_connected(args.order, use_filters=not args.no_filters)
         return [formats.census_entry_to_obj(e) for e in entries]
-    census = enumerate_all(args.order, jobs=args.jobs)
+    census = enumerate_all(args.order)
     out = []
     for q, flag in zip(census.tables, census.connected_flags):
         if args.connected and not flag:
@@ -156,7 +154,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_bound(args.order, parser)
-    census = enumerate_all(args.order, jobs=args.jobs)
+    census = enumerate_all(args.order)
     connected = census.connected()
     _emit(
         f"order {args.order}: {len(census)} classes, "
@@ -166,7 +164,7 @@ def _cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         _emit("connected class: " + formats.canonical_json(formats.quandle_to_obj(q)))
     if not args.check:
         return EXIT_OK
-    entries = enumerate_connected(args.order, jobs=args.jobs)
+    entries = enumerate_connected(args.order)
     _emit(f"order {args.order}: {len(entries)} connected classes (coset construction)\n")
     brute = [q.table for q in connected]
     structural = [e.quandle.table for e in entries]
@@ -180,7 +178,7 @@ def _cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _check_bound(order: int, parser: argparse.ArgumentParser) -> None:
     try:
         bound = resolve_bound(6)
-    except ValueError as exc:
+    except BoundError as exc:
         parser.error(str(exc))
     if not 1 <= order <= bound:
         parser.error(f"--order must be in 1..{bound}")
@@ -208,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", action="store_true",
                    help="recurse until every leaf is connected")
 
-    p = sub.add_parser("tree", help="full decomposition tree (same as decompose --tree)")
-    p.add_argument("file")
-
     p = sub.add_parser("compose", help="build the quandle a mesh file describes")
     p.add_argument("file")
 
@@ -222,14 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="structure (default with --connected) or brute force")
     p.add_argument("--no-filters", action="store_true",
                    help="disable the group-theoretic pruning filters")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="directory for order-N.json instead of stdout")
 
     p = sub.add_parser("census", help="brute-force census, optionally cross-checked")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--check", action="store_true",
                    help="compare against the coset-construction enumeration")
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -242,7 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         "info": _cmd_info,
         "iso": _cmd_iso,
         "decompose": _cmd_decompose,
-        "tree": _cmd_tree,
         "compose": _cmd_compose,
     }
     try:
@@ -257,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MeshError, HomError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NEGATIVE
+    except BoundError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NEGATIVE

@@ -6,6 +6,10 @@ ENV_MAX_ORDER = "QUANDLE_MAX_ORDER"
 HARD_MAX_ORDER = 8
 
 
+class BoundError(ValueError):
+    """An order or degree outside the range a search or bound setting allows."""
+
+
 def resolve_bound(default: int) -> int:
     """Effective order/degree bound: QUANDLE_MAX_ORDER if set, else `default`.
 
@@ -18,9 +22,9 @@ def resolve_bound(default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}") from None
+        raise BoundError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}") from None
     if not 1 <= value <= HARD_MAX_ORDER:
-        raise ValueError(
+        raise BoundError(
             f"{ENV_MAX_ORDER}={value} refused; supported range is 1..{HARD_MAX_ORDER}"
         )
     return value

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._parallel import map_ordered
-from .config import resolve_bound
+from .config import BoundError, resolve_bound
 from .perm import PermGroup, Permutation, generate_group, transitive_subgroups_up_to_conjugacy
 from .quandle import Quandle
 
@@ -169,40 +168,32 @@ def _skip_by_structure(group: PermGroup) -> bool:
     return False
 
 
-def enumerate_connected(
-    n: int, *, use_filters: bool = True, jobs: int = 1
-) -> list[CensusEntry]:
+def enumerate_connected(n: int, *, use_filters: bool = True) -> list[CensusEntry]:
     """All connected quandles of order n up to isomorphism, one entry each.
 
     Walks every transitive subgroup class of S_n and every central element
     of the point stabilizer; seeds that pass the generation test yield
     quandles, deduped by canonical form.  Entries are sorted by canonical
-    table, so the output is deterministic and independent of jobs.
+    table, so the output is deterministic.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
     bound = resolve_bound(6)
     if n > bound:
-        raise ValueError(f"order {n} exceeds the configured bound {bound}")
+        raise BoundError(f"order {n} exceeds the configured bound {bound}")
 
-    seeds: list[ConnectedSeed] = []
+    by_class: dict[Quandle, CensusEntry] = {}
     for group in transitive_subgroups_up_to_conjugacy(n):
         if use_filters and _skip_by_structure(group):
             continue
         stab = group.stabilizer(0)
         reps = _coset_reps(group)
         for z in stab.center():
-            seeds.append(ConnectedSeed(group, stab, z, reps))
-
-    def attempt(seed: ConnectedSeed) -> CensusEntry | None:
-        if not check_generation(seed):
-            return None
-        q = coset_quandle(seed)
-        return CensusEntry(q.canonical_form(), seed, len(seed.group))
-
-    produced = map_ordered(attempt, seeds, jobs=jobs)
-    by_class: dict[Quandle, CensusEntry] = {}
-    for entry in produced:
-        if entry is not None and entry.quandle not in by_class:
-            by_class[entry.quandle] = entry
+            seed = ConnectedSeed(group, stab, z, reps)
+            try:
+                q = coset_quandle(seed).canonical_form()
+            except GenerationFailureError:
+                continue
+            if q not in by_class:
+                by_class[q] = CensusEntry(q, seed, len(group))
     return sorted(by_class.values(), key=lambda e: e.quandle.table)

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ._parallel import map_ordered
-from .config import resolve_bound
+from .config import BoundError, resolve_bound
 from .perm import Permutation
 from .quandle import Quandle
 
@@ -134,22 +133,17 @@ class _ColumnSearch:
             self._unwind(trail)
 
 
-def labeled_tables(n: int, jobs: int = 1) -> list[tuple[tuple[int, ...], ...]]:
+def labeled_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Every quandle table on points 0..n-1, one per labeling, sorted."""
     if n == 1:
         return [((0,),)]
-    firsts = _column_candidates(n)[0]
-
-    def branch(images: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-        return _ColumnSearch(n).run(images)
-
-    chunks = map_ordered(branch, firsts, jobs=jobs)
-    tables = [t for chunk in chunks for t in chunk]
+    search = _ColumnSearch(n)
+    tables = [t for first in search.candidates[0] for t in search.run(first)]
     tables.sort()
     return tables
 
 
-def enumerate_all(n: int, jobs: int = 1) -> Census:
+def enumerate_all(n: int) -> Census:
     """Census of all quandles of order n up to isomorphism.
 
     Order 6 is the practical ceiling (tens of thousands of labeled tables);
@@ -159,9 +153,9 @@ def enumerate_all(n: int, jobs: int = 1) -> Census:
         raise ValueError("order must be at least 1")
     bound = resolve_bound(6)
     if n > bound:
-        raise ValueError(f"order {n} exceeds the configured bound {bound}")
+        raise BoundError(f"order {n} exceeds the configured bound {bound}")
     classes: dict[tuple[tuple[int, ...], ...], Quandle] = {}
-    for table in labeled_tables(n, jobs=jobs):
+    for table in labeled_tables(n):
         q = Quandle(table)
         canon = q.canonical_form()
         if canon.table not in classes:

@@ -10,7 +10,8 @@ Groups carry their full element sets.  That is deliberate: the library
 targets degrees up to about 7 (|S_7| = 5040), where exhaustive
 representations are simpler to audit than stabilizer chains and still fast.
 The conjugacy-class search over subgroups is the one genuinely heavy
-operation; it runs on a vectorized index of S_n (see _SymmetricIndex).
+operation; it runs on a vectorized index of S_n (see _SymmetricIndex),
+the same cached index that quandle relabels tables by.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import resolve_bound
+from .config import HARD_MAX_ORDER, BoundError, resolve_bound
 
 __all__ = [
     "Permutation",
@@ -292,6 +293,9 @@ class PermGroup:
 
 @lru_cache(maxsize=None)
 def _sym_index(n: int) -> "_SymmetricIndex":
+    """The shared index of S_n; degrees above HARD_MAX_ORDER are refused."""
+    if n > HARD_MAX_ORDER:
+        raise BoundError(f"order {n} exceeds the hard bound {HARD_MAX_ORDER}")
     return _SymmetricIndex(n)
 
 
@@ -302,6 +306,8 @@ class _SymmetricIndex:
     enumeration of image arrays; subgroups are sorted index arrays.  Image
     rows compose by fancy indexing and are mapped back to indices through a
     base-n code, so no n! x n! multiplication table is ever materialized.
+    arr holds the image rows and inverse_rows the image rows of their
+    inverses, both int8 and in lexicographic order of arr.
     """
 
     def __init__(self, n: int):
@@ -311,7 +317,7 @@ class _SymmetricIndex:
         self.arr = np.fromiter(flat, dtype=np.int8, count=self.size * n).reshape(self.size, n)
         self.weights = np.array([n**k for k in range(n - 1, -1, -1)], dtype=np.int64)
         self.codes = self.arr.astype(np.int64) @ self.weights
-        self.inverse = self.lookup(np.argsort(self.arr, axis=1))
+        self.inverse_rows = np.argsort(self.arr, axis=1).astype(np.int8)
         self.identity = int(self.lookup(np.arange(n, dtype=np.int8).reshape(1, n))[0])
 
     def lookup(self, images: np.ndarray) -> np.ndarray:
@@ -360,7 +366,7 @@ class _SymmetricIndex:
         chunk = max(1, min(self.size, (1 << 21) // max(1, m * self.n)))
         for start in range(0, self.size, chunk):
             gs = np.arange(start, min(start + chunk, self.size))
-            inv_rows = self.arr[self.inverse[gs]]
+            inv_rows = self.inverse_rows[gs]
             mid = rows[:, inv_rows].transpose(1, 0, 2)  # [B, m, n]: s(g^-1(x))
             out = self.arr[gs][np.arange(gs.size)[:, None, None], mid]  # g(s(g^-1(x)))
             idx = np.searchsorted(self.codes, out.astype(np.int64) @ self.weights)
@@ -462,5 +468,5 @@ def transitive_subgroups_up_to_conjugacy(n: int) -> list[PermGroup]:
         raise ValueError("degree must be at least 1")
     bound = resolve_bound(7)
     if n > bound:
-        raise ValueError(f"degree {n} exceeds the configured bound {bound}")
+        raise BoundError(f"degree {n} exceeds the configured bound {bound}")
     return list(_transitive_class_groups(n))

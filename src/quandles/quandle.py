@@ -15,21 +15,19 @@ symmetries is the inner group; its orbits partition the quandle, and the
 quandle is connected when there is one orbit.
 
 Canonical forms and automorphism groups relabel by all of S_n at once in
-numpy, which keeps order 6 censuses (tens of thousands of tables) cheap.
+numpy, reading the permutations from the cached S_n index of the perm
+module, which keeps order 6 censuses (tens of thousands of tables) cheap.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .config import HARD_MAX_ORDER
-from .perm import PermGroup, Permutation, generate_group
+from .perm import PermGroup, Permutation, _sym_index, generate_group
 
 __all__ = [
     "Quandle",
@@ -323,28 +321,20 @@ class Quandle:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized relabeling kernel, shared by canonical forms and automorphisms.
+# Vectorized relabeling over the S_n index, shared by canonical forms and
+# automorphisms.
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _relabel_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(perms, inverses) for all of S_n as int8 arrays, lexicographic order."""
-    if n > HARD_MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the hard bound {HARD_MAX_ORDER}")
-    size = math.factorial(n)
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    perms = np.fromiter(flat, dtype=np.int8, count=size * n).reshape(size, n)
-    return perms, np.argsort(perms, axis=1).astype(np.int8)
 
 
 def _relabelings_flat(table: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
     """All n! relabeled tables, flattened to rows of length n*n.
 
-    Row p holds the table of relabel(perms[p]) in row-major order.
+    Row p holds the table of relabel(perms[p]) in row-major order, perms
+    being the image rows of the S_n index.
     """
     n = len(table)
-    perms, invs = _relabel_basis(n)
+    idx = _sym_index(n)
+    perms, invs = idx.arr, idx.inverse_rows
     t = np.array(table, dtype=np.int8)
     mid = t[invs[:, :, None], invs[:, None, :]]
     relabeled = perms[np.arange(len(perms))[:, None, None], mid]

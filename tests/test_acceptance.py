@@ -214,15 +214,13 @@ def test_criterion_7_inner_group_corollaries(censuses):
 
 def test_criterion_8_determinism():
     with criterion(8, "determinism", 120.0):
-        def census_run(jobs: int) -> str:
+        def census_run() -> str:
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
-                code = main(["census", "--order", "5", "--check",
-                             "--jobs", str(jobs)])
+                code = main(["census", "--order", "5", "--check"])
             assert code == 0
             return buffer.getvalue()
 
-        runs = [census_run(1) for _ in range(3)]
+        runs = [census_run() for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
         assert "census check: MATCH" in runs[0]
-        assert census_run(4) == runs[0]

@@ -13,9 +13,10 @@ import sys
 import pytest
 
 from quandles.cli import main
-from quandles.formats import canonical_json, quandle_to_obj
+from quandles.decompose import decomposition_tree
+from quandles.formats import canonical_json, quandle_to_obj, tree_to_obj
 from quandles.perm import Permutation
-from quandles.quandle import Quandle, trivial_quandle
+from quandles.quandle import Quandle, dihedral_quandle, trivial_quandle
 
 
 def run(capsys, *argv):
@@ -91,6 +92,13 @@ class TestInfo:
         assert code == 1
         assert "not a quandle" in err
 
+    def test_order_above_hard_bound_is_usage_error(self, capsys, tmp_path):
+        path = write_quandle(tmp_path / "r9.json", dihedral_quandle(9))
+        code, out, err = run(capsys, "info", path)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the hard bound" in err
+
 
 class TestIso:
     def test_witness(self, capsys, tmp_path, q3):
@@ -154,13 +162,12 @@ class TestDecomposeCompose:
         code, _, err = run(capsys, "compose", str(mesh_path))
         assert code == 1
 
-    def test_tree_verb_matches_decompose_tree(self, capsys, tmp_path, q3):
+    def test_decompose_tree_gives_tree_json(self, capsys, tmp_path, q3):
         source = write_quandle(tmp_path / "q3.json", q3)
-        _, via_flag, _ = run(capsys, "decompose", source, "--tree")
-        _, via_verb, _ = run(capsys, "tree", source)
-        assert via_flag == via_verb
-        obj = json.loads(via_verb)
-        assert obj["connected"] is False
+        code, out, _ = run(capsys, "decompose", source, "--tree")
+        assert code == 0
+        assert out == canonical_json(tree_to_obj(decomposition_tree(q3)))
+        assert json.loads(out)["connected"] is False
 
 
 class TestEnumerate:
@@ -246,6 +253,17 @@ class TestUsageAndBounds:
         with pytest.raises(SystemExit) as info:
             main(["enumerate", "--order", "0"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["tree", "q3.json"],
+        ["enumerate", "--order", "3", "--jobs", "1"],
+        ["census", "--order", "3", "--jobs", "1"],
+    ])
+    def test_removed_verb_and_flag_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_module_entry_point(tmp_path, t3):

@@ -94,11 +94,8 @@ class TestCensus:
         for table in labeled_tables(3):
             assert Quandle(table).canonical_form().table in canon
 
-    def test_deterministic_and_jobs_invariant(self):
-        first = enumerate_all(4)
-        second = enumerate_all(4)
-        parallel = enumerate_all(4, jobs=2)
-        assert first == second == parallel
+    def test_deterministic(self):
+        assert enumerate_all(4) == enumerate_all(4)
 
     def test_parallel_flags_required(self, trivial4):
         with pytest.raises(ValueError):

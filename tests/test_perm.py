@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quandles.config import HARD_MAX_ORDER, BoundError
 from quandles.perm import (
     PermGroup,
     Permutation,
@@ -350,7 +351,11 @@ class TestSymmetricIndex:
         assert idx.permutation(idx.identity).is_identity()
         for k in [0, 5, 17, 23]:
             p = idx.permutation(k)
-            assert idx.permutation(int(idx.inverse[k])) == p.inverse()
+            assert Permutation(tuple(idx.inverse_rows[k])) == p.inverse()
+
+    def test_refuses_orders_above_the_hard_bound(self):
+        with pytest.raises(BoundError, match="exceeds the hard bound"):
+            _sym_index(HARD_MAX_ORDER + 1)
 
     def test_closure_matches_generate_group(self):
         idx = _sym_index(4)
