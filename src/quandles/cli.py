@@ -142,10 +142,13 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     entries = _entries_for_enumerate(args)
     payload = formats.canonical_json(entries)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / f"order-{args.order}.json"
-        target.write_text(payload)
+        target = Path(args.out) / f"order-{args.order}.json"
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(payload)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {target}: {exc}\n")
+            return EXIT_USAGE
         _emit(f"wrote {target} ({len(entries)} entries)\n")
     else:
         _emit(payload)

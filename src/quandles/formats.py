@@ -92,7 +92,8 @@ def table_from_obj(obj: Any) -> list[list[int]]:
     _require(isinstance(obj, dict), "quandle must be an object")
     order = obj.get("order")
     table = obj.get("table")
-    _require(isinstance(order, int) and order >= 1, "quandle needs an integer 'order' >= 1")
+    _require(isinstance(order, int) and not isinstance(order, bool) and order >= 1,
+             "quandle needs an integer 'order' >= 1")
     _require(isinstance(table, list) and len(table) == order,
              "'table' must be a list of 'order' rows")
     rows = []

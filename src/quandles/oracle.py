@@ -10,7 +10,15 @@ self-distributivity
 
 as a forced assignment the moment both S_b and S_c are known.  Idempotence
 and invertibility hold by construction of the candidate columns, so every
-leaf is a quandle; leaves are reduced to canonical form and deduped.
+leaf is a quandle.
+
+The census search pins column 0 to one permutation per cycle type.  S_0
+fixes 0, and relabeling by a sigma that fixes 0 turns S_0 into
+sigma * S_0 * sigma^-1, so every class has a labeling whose S_0 is any
+chosen permutation of S_0's cycle type.  Each leaf is validated; the first
+leaf of a class is reduced to canonical form and every relabeling of it is
+marked seen, so later leaves of that class are recognized without another
+canonical form (isomorph rejection by orbit marking).
 """
 
 from __future__ import annotations
@@ -19,8 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from .config import BoundError, resolve_bound
-from .perm import Permutation
-from .quandle import Quandle
+from .quandle import Quandle, _relabelings_flat
 
 __all__ = ["Census", "enumerate_all", "count_connected"]
 
@@ -133,12 +140,48 @@ class _ColumnSearch:
             self._unwind(trail)
 
 
-def labeled_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every quandle table on points 0..n-1, one per labeling, sorted."""
+def _partitions(total: int, largest: int) -> list[tuple[int, ...]]:
+    """Partitions of total into non-increasing parts no larger than largest."""
+    if total == 0:
+        return [()]
+    return [
+        (part, *rest)
+        for part in range(min(total, largest), 0, -1)
+        for rest in _partitions(total - part, part)
+    ]
+
+
+def _cycle_type_columns(n: int) -> list[tuple[int, ...]]:
+    """One permutation fixing 0 per cycle type on 1..n-1, as image tuples.
+
+    Each partition of n-1 becomes consecutive cycles on 1..n-1, largest first.
+    """
+    columns = []
+    for parts in _partitions(n - 1, n - 1):
+        images = [0] * n
+        start = 1
+        for size in parts:
+            for k in range(size):
+                images[start + k] = start + (k + 1) % size
+            start += size
+        columns.append(tuple(images))
+    return columns
+
+
+def labeled_tables(
+    n: int, first_columns: list[tuple[int, ...]] | None = None
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Quandle tables on points 0..n-1, one per labeling, sorted.
+
+    By default every labeling; with first_columns, only the tables whose
+    column at 0 (each a permutation fixing 0) is one of them.
+    """
     if n == 1:
         return [((0,),)]
     search = _ColumnSearch(n)
-    tables = [t for first in search.candidates[0] for t in search.run(first)]
+    if first_columns is None:
+        first_columns = search.candidates[0]
+    tables = [t for first in first_columns for t in search.run(first)]
     tables.sort()
     return tables
 
@@ -146,20 +189,27 @@ def labeled_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
 def enumerate_all(n: int) -> Census:
     """Census of all quandles of order n up to isomorphism.
 
-    Order 6 is the practical ceiling (tens of thousands of labeled tables);
-    the default bound follows QUANDLE_MAX_ORDER.
+    Searches only the labelings whose column 0 is a cycle-type
+    representative, validates each, and computes one canonical form per
+    class.  The default bound of 6 follows QUANDLE_MAX_ORDER; order 7
+    searches 49069 labelings.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
     bound = resolve_bound(6)
     if n > bound:
         raise BoundError(f"order {n} exceeds the configured bound {bound}")
-    classes: dict[tuple[tuple[int, ...], ...], Quandle] = {}
-    for table in labeled_tables(n):
+    # Row-major entries as bytes: the encoding of the int8 rows that
+    # _relabelings_flat returns.
+    seen: set[bytes] = set()
+    classes: list[Quandle] = []
+    for table in labeled_tables(n, _cycle_type_columns(n)):
         q = Quandle(table)
-        canon = q.canonical_form()
-        if canon.table not in classes:
-            classes[canon.table] = canon
-    tables = tuple(classes[key] for key in sorted(classes))
+        if bytes(v for row in table for v in row) in seen:
+            continue
+        classes.append(q.canonical_form())
+        flat, _ = _relabelings_flat(q.table)
+        seen.update(row.tobytes() for row in flat)
+    tables = tuple(sorted(classes, key=lambda q: q.table))
     flags = tuple(q.is_connected() for q in tables)
     return Census(n, tables, flags)

@@ -92,6 +92,14 @@ class TestInfo:
         assert code == 1
         assert "not a quandle" in err
 
+    def test_boolean_order_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "bool-order.json"
+        path.write_text('{"order":true,"table":[[0]]}\n')
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 3
+        assert out == ""
+        assert "order" in err
+
     def test_order_above_hard_bound_is_usage_error(self, capsys, tmp_path):
         path = write_quandle(tmp_path / "r9.json", dihedral_quandle(9))
         code, out, err = run(capsys, "info", path)
@@ -201,6 +209,15 @@ class TestEnumerate:
         assert out == f"wrote {target} (3 entries)\n"
         _, stdout_payload, _ = run(capsys, "enumerate", "--order", "3")
         assert target.read_text() == stdout_payload
+
+    def test_out_path_that_is_a_file_is_usage_error(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "afile"
+        not_a_dir.write_text("")
+        code, out, err = run(capsys, "enumerate", "--order", "3", "--out", str(not_a_dir))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not_a_dir.read_text() == ""
 
     def test_structure_requires_connected(self, capsys):
         with pytest.raises(SystemExit) as info:

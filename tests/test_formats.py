@@ -94,6 +94,10 @@ class TestQuandleIO:
         with pytest.raises(FormatError):
             table_from_obj({"order": 2, "table": [[False, True], [True, False]]})
 
+    def test_bool_order_rejected(self):
+        with pytest.raises(FormatError):
+            table_from_obj({"order": True, "table": [[0]]})
+
     def test_grid_errors(self):
         with pytest.raises(FormatError):
             parse_quandle_text("")

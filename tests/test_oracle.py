@@ -15,14 +15,18 @@ import pytest
 from quandles.oracle import (
     Census,
     _ColumnSearch,
+    _cycle_type_columns,
     count_connected,
     enumerate_all,
     labeled_tables,
 )
+from quandles.perm import Permutation
 from quandles.quandle import Quandle, is_quandle_table
 
 CLASS_COUNTS = {1: 1, 2: 1, 3: 3, 4: 7, 5: 22, 6: 73}
 LABELED_COUNTS = {1: 1, 2: 1, 3: 5}
+# Partitions of n - 1: the number of cycle types of a permutation fixing 0.
+PARTITION_COUNTS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 7, 7: 11}
 
 
 def all_tables_filtered(n):
@@ -61,6 +65,30 @@ class TestLabeledTables:
         for n in range(1, 5):
             for table in labeled_tables(n):
                 assert is_quandle_table(table)
+
+
+class TestCycleTypePinning:
+    @pytest.mark.parametrize("n,count", sorted(PARTITION_COUNTS.items()))
+    def test_one_column_per_cycle_type(self, n, count):
+        columns = _cycle_type_columns(n)
+        assert len(columns) == count
+        for images in columns:
+            assert images[0] == 0
+        cycle_types = {Permutation(images).cycle_type() for images in columns}
+        assert len(cycle_types) == count
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pinned_leaves_are_labeled_tables(self, n):
+        pinned = labeled_tables(n, _cycle_type_columns(n))
+        assert pinned == sorted(set(pinned))
+        assert set(pinned) <= set(labeled_tables(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_classes_match_canonical_form_of_every_labeling(self, n):
+        # One canonical form per labeled table, with no pinning: the
+        # straightforward reference the census must reproduce.
+        reference = sorted({Quandle(t).canonical_form().table for t in labeled_tables(n)})
+        assert [q.table for q in enumerate_all(n).tables] == reference
 
 
 class TestCensus:
@@ -106,3 +134,13 @@ class TestCensus:
             enumerate_all(7)
         with pytest.raises(ValueError):
             enumerate_all(0)
+
+
+@pytest.mark.slow
+def test_order_7_published_counts(monkeypatch):
+    # Vendramin, "On the classification of quandles of low order": 298
+    # classes of order 7, 5 of them connected.
+    monkeypatch.setenv("QUANDLE_MAX_ORDER", "7")
+    census = enumerate_all(7)
+    assert len(census) == 298
+    assert count_connected(census) == 5
