@@ -4,9 +4,9 @@ The augmentation group of a quandle Q is generated by one symbol |x| per
 element, subject to the relations |x > y| = |y|^-1 |x| |y|.  A homomorphism
 out of it is pinned down by where the generators go, so this module never
 builds the group itself: a GammaHom is just the assignment x -> image
-permutation, validated against the relations.  When the hom targets a
-quandle (the only case the decomposition machinery uses), every image must
-additionally be an automorphism of that target.
+permutation, validated against the relations.  Every hom targets a
+quandle, and every image must additionally be an automorphism of that
+target.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ class NotAnAutomorphismError(HomError):
 class GammaHom:
     """Generator assignment x -> assignment[x], one permutation per source point.
 
-    target is the quandle the images act on; None means only the relation
-    invariant is meaningful (no automorphism constraint).  Construct through
-    validate_gamma_hom unless the data is known-good.
+    target is the quandle the images act on, so every image has degree
+    target.order.  Construct through validate_gamma_hom unless the data is
+    known-good.
     """
 
     source: Quandle
-    target: Quandle | None
+    target: Quandle
     assignment: tuple[Permutation, ...]
 
     def __post_init__(self) -> None:
@@ -75,7 +75,7 @@ class GammaHom:
         degrees = {p.degree for p in self.assignment}
         if len(degrees) != 1:
             raise ValueError("assigned permutations have mixed degrees")
-        if self.target is not None and self.target.order != self.target_order:
+        if self.target.order != self.target_order:
             raise ValueError(
                 f"assignment degree {self.target_order} != target order {self.target.order}"
             )
@@ -107,14 +107,13 @@ def check_gamma_hom(hom: GammaHom) -> None:
         for y in range(n):
             if hom.assignment[table[x][y]] != hom.assignment[x].conjugated_by(hom.assignment[y]):
                 raise RelationViolationError(x, y)
-    if hom.target is not None:
-        for x in range(n):
-            if not hom.target.is_automorphism(hom.assignment[x]):
-                raise NotAnAutomorphismError(x)
+    for x in range(n):
+        if not hom.target.is_automorphism(hom.assignment[x]):
+            raise NotAnAutomorphismError(x)
 
 
 def validate_gamma_hom(
-    source: Quandle, target: Quandle | None, assignment: Sequence[Permutation]
+    source: Quandle, target: Quandle, assignment: Sequence[Permutation]
 ) -> GammaHom:
     """Build and fully validate a GammaHom; raises HomError subclasses."""
     hom = GammaHom(source, target, tuple(assignment))

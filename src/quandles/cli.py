@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import formats
 from .augment import HomError
 from .config import BoundError, resolve_bound
-from .decompose import MeshError, decompose, decomposition_tree, semidisjoint_union
+from .decompose import Decomposition, MeshError, decompose, decomposition_tree
 from .enumeration import enumerate_connected
 from .oracle import enumerate_all
-from .perm import Permutation
 from .quandle import Quandle, axiom_violations
 
 EXIT_OK = 0
@@ -105,17 +105,14 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise formats.FormatError(f"bad JSON: {exc}") from None
     mesh = formats.mesh_from_obj(obj)
-    q = semidisjoint_union(mesh)
-    if isinstance(obj, dict) and obj.get("layout") is not None:
-        layout = formats.layout_from_obj(obj["layout"], q.order)
-        expected = [
-            (bi, li) for bi, block in enumerate(mesh.blocks) for li in range(block.order)
-        ]
-        if sorted(layout) != expected:
+    # Without a layout the mesh composes in block order.
+    layout = tuple((bi, li) for bi, block in enumerate(mesh.blocks) for li in range(block.order))
+    if obj.get("layout") is not None:
+        given = formats.layout_from_obj(obj["layout"], mesh.order)
+        if sorted(given) != list(layout):
             raise formats.FormatError("layout does not match the mesh block sizes")
-        # positions[composed index] = original label carrying that (block, local)
-        positions = sorted(range(q.order), key=lambda g: layout[g])
-        q = q.relabel(Permutation(tuple(positions)))
+        layout = given
+    q = Decomposition(mesh, layout).reassemble()
     _emit(formats.canonical_json(formats.quandle_to_obj(q)))
     return EXIT_OK
 
@@ -242,10 +239,19 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         if args.verb in handlers:
-            return handlers[args.verb](args)
-        if args.verb == "enumerate":
-            return _cmd_enumerate(args, parser)
-        return _cmd_census(args, parser)
+            code = handlers[args.verb](args)
+        elif args.verb == "enumerate":
+            code = _cmd_enumerate(args, parser)
+        else:
+            code = _cmd_census(args, parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout; silence the flush at exit ("Note on
+        # SIGPIPE" in the Python signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_USAGE
     except formats.FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MALFORMED

@@ -10,10 +10,11 @@ a quandle on the concatenated blocks:
 
 Validity is two cross-block coherence conditions on top of per-entry hom
 validity; they are exactly what the composed table needs to satisfy the
-quandle axioms, and semidisjoint_union asserts that equivalence on every
-call.  In the other direction, decompose splits any quandle into its inner
-orbits and reads the homs off the symmetry columns; composing the result
-reproduces the input table bit for bit.
+quandle axioms.  A Mesh checks them once, when it is built, and
+semidisjoint_union's Quandle check of the composed table asserts that
+equivalence.  In the other direction, decompose splits any quandle into its
+inner orbits and reads the homs off the symmetry columns; composing the
+result reproduces the input table bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .augment import GammaHom, canonical_hom, check_gamma_hom, trivial_hom
+from .augment import GammaHom, check_gamma_hom, trivial_hom
 from .perm import Permutation
 from .quandle import Quandle
 
@@ -79,17 +80,74 @@ class Condition2ViolationError(MeshError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Validated blocks plus hom matrix; build through validate_mesh."""
+    """Blocks plus hom matrix, checked on construction like Quandle.
+
+    homs[i][j] takes generators of blocks[i] to automorphisms of blocks[j];
+    no entry may be None.  The first failure is raised, witnesses least in
+    scan order: shape, each entry's source and target, the diagonals, each
+    hom, Condition 1, Condition 2.
+    """
 
     blocks: tuple[Quandle, ...]
     homs: tuple[tuple[GammaHom, ...], ...]
 
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for b in self.blocks[:-1]:
-            out.append(out[-1] + b.order)
-        return tuple(out)
+    def __post_init__(self) -> None:
+        blocks = tuple(self.blocks)
+        if not blocks:
+            raise ValueError("a mesh needs at least one block")
+        k = len(blocks)
+        if len(self.homs) != k or any(len(row) != k for row in self.homs):
+            raise ValueError(f"hom matrix must be {k}x{k}")
+        homs = tuple(tuple(row) for row in self.homs)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "homs", homs)
+
+        for i, j in itertools.product(range(k), repeat=2):
+            entry = homs[i][j]
+            if entry is None:
+                kind = "off-diagonal" if i != j else "diagonal"
+                raise ValueError(f"{kind} hom ({i}, {j}) may not be omitted")
+            if entry.source != blocks[i]:
+                raise ValueError(f"hom ({i}, {j}) source is not block {i}")
+            if entry.target != blocks[j]:
+                raise ValueError(f"hom ({i}, {j}) target is not block {j}")
+
+        for i in range(k):
+            if homs[i][i].assignment != tuple(blocks[i].symmetries()):
+                raise DiagonalNotCanonicalError(i)
+        for row in homs:
+            for entry in row:
+                check_gamma_hom(entry)
+
+        # Condition 1: for x, z in block i and y in block j, the outside action
+        # of y on x > z matches acting on x and z separately.
+        for i, j in itertools.product(range(k), repeat=2):
+            if i == j:
+                continue
+            ti = blocks[i].table
+            a_ji = homs[j][i]  # action of block-j points on block i
+            a_ij = homs[i][j]  # action of block-i points on block j
+            for x, y, z in itertools.product(
+                range(blocks[i].order), range(blocks[j].order), range(blocks[i].order)
+            ):
+                lhs = ti[a_ji.assignment[y](x)][z]
+                rhs = a_ji.assignment[a_ij.assignment[z](y)](ti[x][z])
+                if lhs != rhs:
+                    raise Condition1ViolationError(i, j, x, y, z)
+
+        # Condition 2: for x in block i, y in block j, z in block k2, the two
+        # outside actions interchange after z adjusts y.
+        for i, j, k2 in itertools.permutations(range(k), 3):
+            a_ji = homs[j][i]
+            a_ki = homs[k2][i]
+            a_kj = homs[k2][j]
+            for x, y, z in itertools.product(
+                range(blocks[i].order), range(blocks[j].order), range(blocks[k2].order)
+            ):
+                lhs = a_ki.assignment[z](a_ji.assignment[y](x))
+                rhs = a_ji.assignment[a_kj.assignment[z](y)](a_ki.assignment[z](x))
+                if lhs != rhs:
+                    raise Condition2ViolationError(i, j, k2, x, y, z)
 
     @property
     def order(self) -> int:
@@ -100,76 +158,22 @@ def validate_mesh(
     blocks: Sequence[Quandle],
     homs: Sequence[Sequence[GammaHom | None]],
 ) -> Mesh:
-    """Check everything a mesh must satisfy; raise the first failure.
+    """Build a Mesh, filling each None diagonal entry with the block's symmetries.
 
-    homs[i][j] must take generators of blocks[i] to automorphisms of
-    blocks[j].  Diagonal entries may be None, in which case the canonical
-    assignment is filled in; a provided diagonal is checked against it.
-    Violations are reported with their least witness tuple in scan order.
+    Off-diagonal entries may not be None.  A provided diagonal is checked
+    against the symmetries by Mesh, which raises the first failure.
     """
     blocks = tuple(blocks)
-    if not blocks:
-        raise ValueError("a mesh needs at least one block")
-    k = len(blocks)
-    if len(homs) != k or any(len(row) != k for row in homs):
-        raise ValueError(f"hom matrix must be {k}x{k}")
-
-    filled: list[list[GammaHom]] = []
-    for i in range(k):
-        row: list[GammaHom] = []
-        for j in range(k):
-            entry = homs[i][j]
-            if entry is None:
-                if i != j:
-                    raise ValueError(f"off-diagonal hom ({i}, {j}) may not be omitted")
-                entry = canonical_hom(blocks[i])
-            if entry.source != blocks[i]:
-                raise ValueError(f"hom ({i}, {j}) source is not block {i}")
-            if entry.target_order != blocks[j].order:
-                raise ValueError(f"hom ({i}, {j}) images have degree != order of block {j}")
-            if entry.target != blocks[j]:
-                entry = GammaHom(blocks[i], blocks[j], entry.assignment)
-            row.append(entry)
-        filled.append(row)
-
-    for i in range(k):
-        if filled[i][i].assignment != tuple(blocks[i].symmetries()):
-            raise DiagonalNotCanonicalError(i)
-    for i in range(k):
-        for j in range(k):
-            check_gamma_hom(filled[i][j])
-
-    # Condition 1: for x, z in block i and y in block j, the outside action
-    # of y on x > z matches acting on x and z separately.
-    for i, j in itertools.product(range(k), repeat=2):
-        if i == j:
-            continue
-        ti = blocks[i].table
-        a_ji = filled[j][i]  # action of block-j points on block i
-        a_ij = filled[i][j]  # action of block-i points on block j
-        for x, y, z in itertools.product(
-            range(blocks[i].order), range(blocks[j].order), range(blocks[i].order)
-        ):
-            lhs = ti[a_ji.assignment[y](x)][z]
-            rhs = a_ji.assignment[a_ij.assignment[z](y)](ti[x][z])
-            if lhs != rhs:
-                raise Condition1ViolationError(i, j, x, y, z)
-
-    # Condition 2: for x in block i, y in block j, z in block k2, the two
-    # outside actions interchange after z adjusts y.
-    for i, j, k2 in itertools.permutations(range(k), 3):
-        a_ji = filled[j][i]
-        a_ki = filled[k2][i]
-        a_kj = filled[k2][j]
-        for x, y, z in itertools.product(
-            range(blocks[i].order), range(blocks[j].order), range(blocks[k2].order)
-        ):
-            lhs = a_ki.assignment[z](a_ji.assignment[y](x))
-            rhs = a_ji.assignment[a_kj.assignment[z](y)](a_ki.assignment[z](x))
-            if lhs != rhs:
-                raise Condition2ViolationError(i, j, k2, x, y, z)
-
-    return Mesh(blocks, tuple(tuple(row) for row in filled))
+    filled = tuple(
+        tuple(
+            GammaHom(blocks[i], blocks[i], tuple(blocks[i].symmetries()))
+            if entry is None and i == j < len(blocks)
+            else entry
+            for j, entry in enumerate(row)
+        )
+        for i, row in enumerate(homs)
+    )
+    return Mesh(blocks, filled)
 
 
 def is_valid_mesh(blocks: Sequence[Quandle], homs: Sequence[Sequence[GammaHom | None]]) -> bool:
@@ -184,13 +188,10 @@ def semidisjoint_union(mesh: Mesh) -> Quandle:
     """Compose a mesh into the quandle on its concatenated blocks.
 
     Block i occupies global points offset_i .. offset_i + order_i - 1.  The
-    mesh conditions are re-checked first (Mesh is a plain dataclass, so a
-    hand-built instance gets no free pass), and the composed table is run
-    through full quandle validation, which a valid mesh always passes.
+    mesh was checked when it was built; the composed table is run through
+    full quandle validation, which a valid mesh always passes.
     """
-    validate_mesh(mesh.blocks, mesh.homs)
-    table = _composed_table(mesh.blocks, mesh.homs)
-    return Quandle(table)
+    return Quandle(_composed_table(mesh.blocks, mesh.homs))
 
 
 def _composed_table(

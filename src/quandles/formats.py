@@ -15,7 +15,7 @@ from typing import Any
 from .augment import GammaHom
 from .decompose import Decomposition, DecompositionTree, Mesh, validate_mesh
 from .enumeration import CensusEntry
-from .perm import PermGroup, Permutation, generate_group
+from .perm import Permutation
 from .quandle import Quandle
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "canonical_json",
     "perm_to_obj",
     "perm_from_obj",
-    "group_to_obj",
-    "group_from_obj",
     "quandle_to_obj",
     "table_from_obj",
     "parse_quandle_text",
@@ -51,30 +49,20 @@ def _require(condition: bool, message: str) -> None:
         raise FormatError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; booleans are ints to Python but not to the formats."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def perm_to_obj(p: Permutation) -> list[int]:
     return list(p.images)
 
 
 def perm_from_obj(obj: Any) -> Permutation:
-    _require(isinstance(obj, list) and all(isinstance(v, int) for v in obj),
+    _require(isinstance(obj, list) and all(_is_int(v) for v in obj),
              "permutation must be a list of ints")
     try:
         return Permutation(tuple(obj))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-
-
-def group_to_obj(g: PermGroup) -> dict:
-    return {"degree": g.degree, "generators": [perm_to_obj(p) for p in g.generators]}
-
-
-def group_from_obj(obj: Any) -> PermGroup:
-    _require(isinstance(obj, dict), "group must be an object")
-    _require(isinstance(obj.get("degree"), int), "group needs an integer 'degree'")
-    _require(isinstance(obj.get("generators"), list), "group needs a 'generators' list")
-    gens = [perm_from_obj(item) for item in obj["generators"]]
-    try:
-        return generate_group(gens, obj["degree"])
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -92,7 +80,7 @@ def table_from_obj(obj: Any) -> list[list[int]]:
     _require(isinstance(obj, dict), "quandle must be an object")
     order = obj.get("order")
     table = obj.get("table")
-    _require(isinstance(order, int) and not isinstance(order, bool) and order >= 1,
+    _require(_is_int(order) and order >= 1,
              "quandle needs an integer 'order' >= 1")
     _require(isinstance(table, list) and len(table) == order,
              "'table' must be a list of 'order' rows")
@@ -100,7 +88,7 @@ def table_from_obj(obj: Any) -> list[list[int]]:
     for row in table:
         _require(isinstance(row, list) and len(row) == order,
                  "every table row must be a list of 'order' ints")
-        _require(all(isinstance(v, int) and not isinstance(v, bool) for v in row),
+        _require(all(_is_int(v) for v in row),
                  "table entries must be ints")
         rows.append([int(v) for v in row])
     return rows
@@ -137,9 +125,9 @@ def hom_to_obj(hom: GammaHom) -> dict:
 
 def hom_from_obj(obj: Any, source: Quandle, target: Quandle) -> GammaHom:
     _require(isinstance(obj, dict), "hom must be an object")
-    _require(obj.get("source_order") == source.order,
+    _require(_is_int(obj.get("source_order")) and obj["source_order"] == source.order,
              f"hom source_order must be {source.order}")
-    _require(obj.get("target_order") == target.order,
+    _require(_is_int(obj.get("target_order")) and obj["target_order"] == target.order,
              f"hom target_order must be {target.order}")
     assignment = obj.get("assignment")
     _require(isinstance(assignment, list) and len(assignment) == source.order,
@@ -204,7 +192,7 @@ def layout_from_obj(obj: Any, order: int) -> tuple[tuple[int, int], ...]:
     pairs = []
     for item in obj:
         _require(isinstance(item, list) and len(item) == 2
-                 and all(isinstance(v, int) for v in item),
+                 and all(_is_int(v) for v in item),
                  "layout entries must be [block, local] int pairs")
         pairs.append((item[0], item[1]))
     return tuple(pairs)

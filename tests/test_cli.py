@@ -6,11 +6,14 @@ bytes; one subprocess smoke test covers the module entry point.
 
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quandles.cli import main
 from quandles.decompose import decomposition_tree
@@ -28,6 +31,17 @@ def run(capsys, *argv):
 def write_quandle(path, q):
     path.write_text(canonical_json(quandle_to_obj(q)))
     return str(path)
+
+
+# The mesh file shown in the README: a two-point trivial block and a point.
+README_MESH = {
+    "blocks": [{"order": 2, "table": [[0, 0], [1, 1]]}, {"order": 1, "table": [[0]]}],
+    "homs": [
+        [None, {"assignment": [[0], [0]], "source_order": 2, "target_order": 1}],
+        [{"assignment": [[1, 0]], "source_order": 1, "target_order": 2}, None],
+    ],
+    "layout": [[0, 0], [0, 1], [1, 0]],
+}
 
 
 class TestValidate:
@@ -158,6 +172,18 @@ class TestDecomposeCompose:
         mesh_path.write_text(canonical_json(obj))
         code, _, err = run(capsys, "compose", str(mesh_path))
         assert code == 3
+
+    def test_boolean_entries_are_malformed(self, capsys, tmp_path):
+        obj = copy.deepcopy(README_MESH)
+        obj["homs"][0][1]["assignment"] = [[False], [False]]
+        obj["homs"][1][0]["assignment"] = [[True, False]]
+        obj["layout"] = [[False, False], [False, True], [True, False]]
+        mesh_path = tmp_path / "mesh.json"
+        mesh_path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "compose", str(mesh_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_invalid_mesh_is_negative(self, capsys, tmp_path):
         swap = {"source_order": 2, "target_order": 2,
@@ -291,3 +317,85 @@ def test_module_entry_point(tmp_path, t3):
     )
     assert proc.returncode == 0
     assert proc.stdout == "valid quandle of order 3\n"
+
+
+def test_closed_stdout_is_usage_error_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quandles.cli", "census", "--order", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert b"Traceback" not in err
+
+
+def _json_paths(obj, prefix=()):
+    """Every position in a JSON value, the root included, as key/index tuples."""
+    yield prefix
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _json_paths(obj[key], prefix + (key,))
+    elif isinstance(obj, list):
+        for index, item in enumerate(obj):
+            yield from _json_paths(item, prefix + (index,))
+
+
+_MESH_KEYS = ["order", "table", "blocks", "homs", "layout", "assignment",
+              "source_order", "target_order"]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=3)
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_MESH_KEYS) | st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _replaced(obj, path, value):
+    """A deep copy of obj with the value at path (root included) replaced."""
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+class TestComposeFuzz:
+    @pytest.mark.parametrize("path", [
+        path for path in _json_paths(README_MESH)
+        if type(_at(README_MESH, path)) is int and _at(README_MESH, path) in (0, 1)
+    ], ids=lambda path: "-".join(map(str, path)))
+    def test_boolean_for_any_int_is_malformed(self, capsys, tmp_path, path):
+        obj = _replaced(README_MESH, path, bool(_at(README_MESH, path)))
+        mesh_path = tmp_path / "mesh.json"
+        mesh_path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "compose", str(mesh_path))
+        assert code == 3
+        assert out == ""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(list(_json_paths(README_MESH))), value=_json_values)
+    def test_reader_never_crashes(self, capsys, tmp_path, path, value):
+        obj = _replaced(README_MESH, path, value)
+        mesh_path = tmp_path / "mesh.json"
+        mesh_path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "compose", str(mesh_path))
+        assert code in (0, 1, 3)
+        if code != 0:
+            assert out == ""

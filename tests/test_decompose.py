@@ -9,6 +9,7 @@ it.  Acceptance runs the large randomized version; here the profile
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 
@@ -95,6 +96,13 @@ class TestValidateMesh:
         with pytest.raises(ValueError):
             validate_mesh([t3, t3], [[None, stray], [trivial_hom(t3, t3), None]])
 
+    def test_wrong_target_rejected(self, t3):
+        # Another quandle of order 3: the images have the right degree but
+        # act on the wrong block.
+        stray = trivial_hom(t3, trivial_quandle(3))
+        with pytest.raises(ValueError, match=r"hom \(0, 1\) target is not block 1"):
+            validate_mesh([t3, t3], [[None, stray], [trivial_hom(t3, t3), None]])
+
     def test_exhaustive_2_2_2_matches_naive_axiom_check(self):
         t2 = trivial_quandle(2)
         blocks = [t2, t2, t2]
@@ -161,9 +169,29 @@ class TestSemidisjointUnion:
         assert q.subquandle([0, 1, 2]) == t3
 
     def test_revalidates_hand_built_mesh(self, t3):
-        bad = Mesh((t3,), ((trivial_hom(t3, t3),),))
         with pytest.raises(MeshError):
-            semidisjoint_union(bad)
+            Mesh((t3,), ((trivial_hom(t3, t3),),))
+
+    def test_composes_without_rechecking_the_mesh(self, t3, q3, monkeypatch):
+        # quandles.decompose the attribute is the function; take the module.
+        decompose_module = importlib.import_module("quandles.decompose")
+        calls = []
+        real = decompose_module.check_gamma_hom
+        monkeypatch.setattr(
+            decompose_module, "check_gamma_hom", lambda hom: calls.append(hom) or real(hom)
+        )
+        for blocks in ([t3], [t3, q3], [t3, trivial_quandle(1), trivial_quandle(2)]):
+            k = len(blocks)
+            homs = [
+                [None if i == j else trivial_hom(blocks[i], blocks[j]) for j in range(k)]
+                for i in range(k)
+            ]
+            calls.clear()
+            mesh = validate_mesh(blocks, homs)
+            assert len(calls) == k * k
+            calls.clear()
+            semidisjoint_union(mesh)
+            assert calls == []
 
     def test_disjoint_union_examples(self, t3):
         assert disjoint_union([t3]) == t3

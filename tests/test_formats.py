@@ -14,8 +14,6 @@ from quandles.formats import (
     canonical_json,
     census_entry_to_obj,
     decomposition_to_obj,
-    group_from_obj,
-    group_to_obj,
     hom_from_obj,
     hom_to_obj,
     layout_from_obj,
@@ -46,18 +44,8 @@ class TestScalars:
             perm_from_obj([0, 0, 1])
         with pytest.raises(FormatError):
             perm_from_obj([])
-
-    def test_group_round_trip(self, t3):
-        g = t3.inner_group()
-        assert group_from_obj(group_to_obj(g)) == g
-
-    def test_group_errors(self):
         with pytest.raises(FormatError):
-            group_from_obj({"degree": 3})
-        with pytest.raises(FormatError):
-            group_from_obj({"degree": "3", "generators": []})
-        with pytest.raises(FormatError):
-            group_from_obj({"degree": 3, "generators": [[0, 1]]})
+            perm_from_obj([True, False])
 
     def test_canonical_json_is_stable_bytes(self):
         obj = {"b": [1, 2], "a": {"y": 0, "x": 1}}
@@ -131,6 +119,11 @@ class TestHomIO:
         short["assignment"] = short["assignment"][:2]
         with pytest.raises(FormatError):
             hom_from_obj(short, t3, q3)
+        t1 = trivial_quandle(1)
+        for key in ("source_order", "target_order"):
+            obj = {"source_order": 1, "target_order": 1, "assignment": [[0]], key: True}
+            with pytest.raises(FormatError):
+                hom_from_obj(obj, t1, t1)
 
     def test_wrong_degree_rejected(self, t3):
         obj = {"source_order": 3, "target_order": 3, "assignment": [[0, 1]] * 3}
@@ -197,6 +190,8 @@ class TestCompositeIO:
             layout_from_obj([[0, 0]], 2)
         with pytest.raises(FormatError):
             layout_from_obj([[0], [0, 1]], 2)
+        with pytest.raises(FormatError):
+            layout_from_obj([[False, False], [False, True]], 2)
 
     def test_tree_round_trip_structure(self, q3):
         obj = tree_to_obj(decomposition_tree(q3))
