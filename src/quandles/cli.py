@@ -10,7 +10,6 @@ deterministic: equal inputs produce equal bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -29,12 +28,18 @@ EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 
 
-def _read_table(path: str) -> list[list[int]]:
+def _read_text(path: str) -> str:
+    """File contents as UTF-8 text; unreadable or undecodable files are FormatError."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise formats.FormatError(f"cannot read {path}: {exc}") from None
-    return formats.parse_quandle_text(text)
+    except UnicodeDecodeError as exc:
+        raise formats.FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_table(path: str) -> list[list[int]]:
+    return formats.parse_quandle_text(_read_text(path))
 
 
 def _read_quandle(path: str) -> Quandle:
@@ -96,14 +101,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        raise formats.FormatError(f"cannot read {args.file}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise formats.FormatError(f"bad JSON: {exc}") from None
+    obj = formats.parse_json(_read_text(args.file))
     mesh = formats.mesh_from_obj(obj)
     # Without a layout the mesh composes in block order.
     layout = tuple((bi, li) for bi, block in enumerate(mesh.blocks) for li in range(block.order))

@@ -28,3 +28,13 @@ def resolve_bound(default: int) -> int:
             f"{ENV_MAX_ORDER}={value} refused; supported range is 1..{HARD_MAX_ORDER}"
         )
     return value
+
+
+class PostconditionError(RuntimeError):
+    """An internal invariant failed: a bug in this package, not bad input."""
+
+
+def ensure(condition: bool, message: str) -> None:
+    """Raise PostconditionError unless the condition holds; survives python -O."""
+    if not condition:
+        raise PostconditionError(message)

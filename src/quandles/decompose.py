@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .augment import GammaHom, check_gamma_hom, trivial_hom
+from .config import ensure
 from .perm import Permutation
 from .quandle import Quandle
 
@@ -274,7 +275,7 @@ def decompose(q: Quandle) -> Decomposition:
     mesh = validate_mesh(blocks, homs)
     layout = tuple(local[g] for g in range(q.order))
     dec = Decomposition(mesh, layout)
-    assert dec.reassemble() == q
+    ensure(dec.reassemble() == q, "decomposition does not reassemble to its quandle")
     return dec
 
 
@@ -309,7 +310,7 @@ class DecompositionTree:
         if self.decomposition is None:
             return self.quandle
         rebuilt = [child.replay() for child in self.children]
-        assert tuple(rebuilt) == self.decomposition.blocks
+        ensure(tuple(rebuilt) == self.decomposition.blocks, "replay differs from the blocks")
         return self.decomposition.reassemble()
 
 
@@ -324,5 +325,5 @@ def decomposition_tree(q: Quandle) -> DecompositionTree:
     dec = decompose(q)
     children = tuple(decomposition_tree(block) for block in dec.blocks)
     tree = DecompositionTree(q, dec, children)
-    assert all(leaf.is_connected() for leaf in tree.leaves())
+    ensure(all(leaf.is_connected() for leaf in tree.leaves()), "a tree leaf is not connected")
     return tree

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import BoundError, resolve_bound
+from .config import BoundError, ensure, resolve_bound
 from .perm import PermGroup, Permutation, generate_group, transitive_subgroups_up_to_conjugacy
 from .quandle import Quandle
 
@@ -98,7 +98,7 @@ def _conjugates(seed: ConnectedSeed) -> list[Permutation]:
 def check_generation(seed: ConnectedSeed) -> bool:
     """True iff the rep-conjugates of z generate exactly the seed group."""
     generated = generate_group(_conjugates(seed), seed.order)
-    assert generated.is_subgroup_of(seed.group)
+    ensure(generated.is_subgroup_of(seed.group), "conjugates of z leave the seed group")
     return len(generated) == len(seed.group)
 
 
@@ -118,10 +118,10 @@ def coset_quandle(seed: ConnectedSeed) -> Quandle:
     # stabilizer must not change conj[j]; z central makes this automatic.
     for j in (0, n - 1):
         for h in seed.stabilizer.generators:
-            assert seed.z.conjugated_by(h * seed.reps[j]) == conj[j]
+            ensure(seed.z.conjugated_by(h * seed.reps[j]) == conj[j], "coset table ill-defined")
     table = tuple(tuple(conj[j](i) for j in range(n)) for i in range(n))
     q = Quandle(table)
-    assert q.is_connected()
+    ensure(q.is_connected(), "coset quandle is not connected")
     return q
 
 

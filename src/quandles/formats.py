@@ -25,6 +25,7 @@ __all__ = [
     "perm_from_obj",
     "quandle_to_obj",
     "table_from_obj",
+    "parse_json",
     "parse_quandle_text",
     "hom_to_obj",
     "hom_from_obj",
@@ -94,15 +95,21 @@ def table_from_obj(obj: Any) -> list[list[int]]:
     return rows
 
 
+def parse_json(text: str) -> Any:
+    """json.loads with every parse failure, nesting too deep included, as FormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"bad JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("bad JSON: nested too deeply") from None
+
+
 def parse_quandle_text(text: str) -> list[list[int]]:
     """Raw table from JSON or the plain grid format, shape-checked only."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc}") from None
-        return table_from_obj(obj)
+        return table_from_obj(parse_json(stripped))
     tokens = stripped.split()
     _require(bool(tokens), "empty input")
     _require(tokens[0].lstrip("-").isdigit(), "grid input must start with the order")
@@ -201,7 +208,6 @@ def layout_from_obj(obj: Any, order: int) -> tuple[tuple[int, int], ...]:
 def tree_to_obj(tree: DecompositionTree) -> dict:
     if tree.is_leaf():
         return {"connected": True, "quandle": quandle_to_obj(tree.quandle)}
-    assert tree.decomposition is not None
     return {
         "connected": False,
         "quandle": quandle_to_obj(tree.quandle),

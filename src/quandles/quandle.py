@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import ensure
 from .perm import PermGroup, Permutation, _sym_index, generate_group
 
 __all__ = [
@@ -250,7 +251,7 @@ class Quandle:
             hits = np.flatnonzero((flat == target).all(axis=1))
             auts = [Permutation(tuple(int(v) for v in perms[h])) for h in hits]
             group = PermGroup.from_elements(auts, self.order)
-            assert self.inner_group().is_subgroup_of(group)
+            ensure(self.inner_group().is_subgroup_of(group), "inner group is not inside Aut")
             self._cache["aut"] = group
         return self._cache["aut"]
 

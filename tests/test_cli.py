@@ -267,6 +267,19 @@ class TestCensus:
         assert first == second
 
 
+    @pytest.mark.slow
+    def test_order_7_check_matches(self, capsys, monkeypatch):
+        # 298 classes and 5 connected: Vendramin (brute force), and Hulpke,
+        # Stanovsky and Vojtechovsky (transitive groups of degree 7).
+        monkeypatch.setenv("QUANDLE_MAX_ORDER", "7")
+        code, out, _ = run(capsys, "census", "--order", "7", "--check")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "order 7: 298 classes, 5 connected (brute force)"
+        assert lines[-2] == "order 7: 5 connected classes (coset construction)"
+        assert lines[-1] == "census check: MATCH"
+
+
 class TestUsageAndBounds:
     def test_unknown_verb(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -309,6 +322,30 @@ class TestUsageAndBounds:
         assert capsys.readouterr().out == ""
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("verb", ["validate", "info", "iso", "decompose", "compose"])
+    def test_non_utf8_is_malformed(self, capsys, tmp_path, verb):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe{")
+        files = [str(path)] * (2 if verb == "iso" else 1)
+        code, out, err = run(capsys, verb, *files)
+        assert code == 3
+        assert out == ""
+        assert "not UTF-8" in err
+
+    @pytest.mark.parametrize("verb, text", [
+        ("compose", "[" * 100000),
+        ("info", '{"order":' * 100000),
+    ], ids=["compose-brackets", "info-objects"])
+    def test_deep_nesting_is_malformed(self, capsys, tmp_path, verb, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, verb, str(path))
+        assert code == 3
+        assert out == ""
+        assert "nested too deeply" in err
+
+
 def test_module_entry_point(tmp_path, t3):
     path = write_quandle(tmp_path / "t3.json", t3)
     proc = subprocess.run(
@@ -317,6 +354,19 @@ def test_module_entry_point(tmp_path, t3):
     )
     assert proc.returncode == 0
     assert proc.stdout == "valid quandle of order 3\n"
+
+
+def test_postconditions_survive_optimize():
+    # A reassembly that no longer matches must raise even under python -O.
+    script = (
+        "from quandles import decompose, trivial_quandle\n"
+        "from quandles.decompose import Decomposition\n"
+        "Decomposition.reassemble = lambda self: None\n"
+        "decompose(trivial_quandle(2))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "PostconditionError: decomposition does not reassemble" in proc.stderr
 
 
 def test_closed_stdout_is_usage_error_without_traceback():

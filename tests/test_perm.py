@@ -8,6 +8,7 @@ oracles live in this file so the main implementation never checks itself.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -24,7 +25,7 @@ from quandles.perm import (
     generate_group,
     transitive_subgroups_up_to_conjugacy,
 )
-from quandles.perm import _subgroup_classes, _sym_index
+from quandles.perm import _subgroup_classes, _sym_index, _SymmetricIndex
 
 
 def perm(*cycles, degree):
@@ -315,6 +316,13 @@ class TestTransitiveSubgroups:
         again = transitive_subgroups_up_to_conjugacy(4)
         assert [g.elements for g in groups] == [g.elements for g in again]
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_generators_are_those_from_elements_picks(self, n):
+        for g in transitive_subgroups_up_to_conjugacy(n):
+            rebuilt = PermGroup.from_elements(g.elements, n)
+            assert g.generators == rebuilt.generators
+            assert g.elements == rebuilt.elements
+
     def test_orbit_stabilizer_product(self):
         for g in transitive_subgroups_up_to_conjugacy(4):
             assert len(g) == 4 * len(g.stabilizer(0))
@@ -330,6 +338,36 @@ class TestTransitiveSubgroups:
         assert len(_subgroup_classes(3)) == 4
         assert len(_subgroup_classes(4)) == 11
         assert len(_subgroup_classes(5)) == 19
+
+    @pytest.mark.parametrize("n, digest", [
+        (5, "d3fc4cd6a628e096ccc82125e9f1d54f13aad70cc8ab6d000e9ddaed809f4482"),
+        (6, "09c5cc6aacd3edc9c482c91b554a0494c865b65c6e9b54e6575fbab1dd33f245"),
+    ])
+    def test_subgroup_classes_frozen(self, n, digest):
+        # Representatives, generators and their order, frozen from the
+        # search that canonicalized every new subgroup.
+        assert hashlib.sha256(repr(_subgroup_classes(n)).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_one_canonicalization_per_class(self, n, monkeypatch):
+        calls = []
+        original = _SymmetricIndex.canonical_subgroup
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(_SymmetricIndex, "canonical_subgroup", counted)
+        _subgroup_classes.cache_clear()
+        try:
+            classes = _subgroup_classes(n)
+        finally:
+            _subgroup_classes.cache_clear()
+        assert len(calls) == len(classes)
+
+    @pytest.mark.slow
+    def test_degree_7_subgroup_class_count(self):
+        assert len(_subgroup_classes(7)) == 96
 
     @pytest.mark.slow
     def test_degree_7_transitive_classes(self):
@@ -364,3 +402,16 @@ class TestSymmetricIndex:
         closed = idx.closure(int(v) for v in gen_idx)
         got = sorted(idx.permutation(int(e)) for e in closed)
         assert got == list(generate_group(gens, 4).elements)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lookup_inverts_the_rows(self, n):
+        idx = _sym_index(n)
+        assert np.array_equal(idx.lookup(idx.arr), np.arange(math.factorial(n)))
+
+    def test_closure_grown_from_a_subgroup(self):
+        idx = _sym_index(5)
+        rows = np.array([perm((0, 1), degree=5).images, perm((2, 3, 4), degree=5).images])
+        a, b = (int(v) for v in idx.lookup(rows.astype(np.int8)))
+        parent = idx.closure([a])
+        assert np.array_equal(idx.closure([a, b], start=parent), idx.closure([a, b]))
+        assert np.array_equal(idx.closure([a], start=parent), parent)
