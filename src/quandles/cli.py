@@ -117,7 +117,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 def _entries_for_enumerate(args: argparse.Namespace) -> list[dict]:
     if args.method == "structure":
-        entries = enumerate_connected(args.order, use_filters=not args.no_filters)
+        entries = enumerate_connected(args.order)
         return [formats.census_entry_to_obj(e) for e in entries]
     census = enumerate_all(args.order)
     out = []
@@ -213,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to connected quandles")
     p.add_argument("--method", choices=["structure", "brute"],
                    help="structure (default with --connected) or brute force")
-    p.add_argument("--no-filters", action="store_true",
-                   help="disable the group-theoretic pruning filters")
     p.add_argument("--out", help="directory for order-N.json instead of stdout")
 
     p = sub.add_parser("census", help="brute-force census, optionally cross-checked")

@@ -17,7 +17,6 @@ module, which shares no code with this construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import BoundError, ensure, resolve_bound
@@ -148,27 +147,7 @@ class CensusEntry:
     inner_order: int
 
 
-def _skip_by_structure(group: PermGroup) -> bool:
-    """Candidate groups no connected quandle of order > 1 can have as Inn.
-
-    Inn of a connected quandle of order n > 1 is nonabelian, is the full
-    symmetric group only for n = 3, and is the alternating group only for
-    n = 4.  Skipping these candidates never changes the census (tested by
-    running with filters off).
-    """
-    n = group.degree
-    if n <= 1:
-        return False
-    if group.is_abelian():
-        return True
-    if len(group) == math.factorial(n) and n != 3:
-        return True
-    if n != 4 and 2 * len(group) == math.factorial(n) and all(g.is_even() for g in group):
-        return True
-    return False
-
-
-def enumerate_connected(n: int, *, use_filters: bool = True) -> list[CensusEntry]:
+def enumerate_connected(n: int) -> list[CensusEntry]:
     """All connected quandles of order n up to isomorphism, one entry each.
 
     Walks every transitive subgroup class of S_n and every central element
@@ -184,8 +163,6 @@ def enumerate_connected(n: int, *, use_filters: bool = True) -> list[CensusEntry
 
     by_class: dict[Quandle, CensusEntry] = {}
     for group in transitive_subgroups_up_to_conjugacy(n):
-        if use_filters and _skip_by_structure(group):
-            continue
         stab = group.stabilizer(0)
         reps = _coset_reps(group)
         for z in stab.center():

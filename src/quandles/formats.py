@@ -10,6 +10,7 @@ invalidity (a well-formed table that breaks an axiom) is not checked here.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .augment import GammaHom
@@ -99,10 +100,22 @@ def parse_json(text: str) -> Any:
     """json.loads with every parse failure, nesting too deep included, as FormatError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int with too many digits
         raise FormatError(f"bad JSON: {exc}") from None
     except RecursionError:
         raise FormatError("bad JSON: nested too deeply") from None
+
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _grid_ints(tokens: list[str], message: str) -> list[int]:
+    """Tokens as ints; "²" (a str.isdigit digit) and ints too long for int() are FormatError."""
+    _require(all(_INT_TOKEN.fullmatch(t) for t in tokens), message)
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise FormatError(message) from None
 
 
 def parse_quandle_text(text: str) -> list[list[int]]:
@@ -112,13 +125,11 @@ def parse_quandle_text(text: str) -> list[list[int]]:
         return table_from_obj(parse_json(stripped))
     tokens = stripped.split()
     _require(bool(tokens), "empty input")
-    _require(tokens[0].lstrip("-").isdigit(), "grid input must start with the order")
-    order = int(tokens[0])
+    (order,) = _grid_ints(tokens[:1], "grid input must start with the order")
     _require(order >= 1, "order must be >= 1")
     _require(len(tokens) == 1 + order * order,
              f"grid input needs {order * order} entries after the order")
-    _require(all(t.lstrip("-").isdigit() for t in tokens[1:]), "grid entries must be ints")
-    values = [int(t) for t in tokens[1:]]
+    values = _grid_ints(tokens[1:], "grid entries must be ints")
     return [values[r * order : (r + 1) * order] for r in range(order)]
 
 

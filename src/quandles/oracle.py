@@ -208,7 +208,7 @@ def enumerate_all(n: int) -> Census:
         if bytes(v for row in table for v in row) in seen:
             continue
         classes.append(q.canonical_form())
-        flat, _ = _relabelings_flat(q.table)
+        flat = _relabelings_flat(q.table)
         seen.update(row.tobytes() for row in flat)
     tables = tuple(sorted(classes, key=lambda q: q.table))
     flags = tuple(q.is_connected() for q in tables)

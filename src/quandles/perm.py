@@ -266,24 +266,6 @@ class PermGroup:
         ensure(len(self) == len(stab) * len(self.orbit(point)), "orbit-stabilizer count fails")
         return stab
 
-    def right_cosets(self, subgroup: "PermGroup") -> list[tuple[Permutation, list[Permutation]]]:
-        """Right cosets H*x as (representative, sorted members), ordered by least member.
-
-        The representative is the least member, so the coset of H itself is
-        represented by the identity.
-        """
-        if not subgroup.is_subgroup_of(self):
-            raise ValueError("argument is not a subgroup of this group")
-        assigned: set[Permutation] = set()
-        cosets = []
-        for x in self.elements:
-            if x in assigned:
-                continue
-            members = sorted(h * x for h in subgroup.elements)
-            assigned.update(members)
-            cosets.append((members[0], members))
-        return cosets
-
 
 # ---------------------------------------------------------------------------
 # Vectorized index of S_n and the subgroup-class search.

@@ -14,20 +14,21 @@ each other the way their base points act.  The group generated by all
 symmetries is the inner group; its orbits partition the quandle, and the
 quandle is connected when there is one orbit.
 
-Canonical forms and automorphism groups relabel by all of S_n at once in
-numpy, reading the permutations from the cached S_n index of the perm
-module, which keeps order 6 censuses (tens of thousands of tables) cheap.
+Canonical forms relabel by all of S_n at once in numpy, reading the
+permutations from the cached S_n index of the perm module, which keeps
+order 6 censuses (tens of thousands of tables) cheap.  Isomorphisms and
+automorphisms come from one backtracking search over point images.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import ensure
+from .config import HARD_MAX_ORDER, BoundError, ensure
 from .perm import PermGroup, Permutation, _sym_index, generate_group
 
 __all__ = [
@@ -244,13 +245,15 @@ class Quandle:
         )
 
     def automorphism_group(self) -> PermGroup:
-        """All relabelings fixing the table, found by exhaustive vectorized scan."""
+        """All relabelings fixing the table: the isomorphism search onto itself.
+
+        Orders above HARD_MAX_ORDER are refused; the trivial quandle of
+        order n has all n! permutations as automorphisms.
+        """
+        if self.order > HARD_MAX_ORDER:
+            raise BoundError(f"order {self.order} exceeds the hard bound {HARD_MAX_ORDER}")
         if "aut" not in self._cache:
-            flat, perms = _relabelings_flat(self.table)
-            target = np.array(self.table, dtype=np.int8).reshape(-1)
-            hits = np.flatnonzero((flat == target).all(axis=1))
-            auts = [Permutation(tuple(int(v) for v in perms[h])) for h in hits]
-            group = PermGroup.from_elements(auts, self.order)
+            group = PermGroup.from_elements(self._isomorphisms(self), self.order)
             ensure(self.inner_group().is_subgroup_of(group), "inner group is not inside Aut")
             self._cache["aut"] = group
         return self._cache["aut"]
@@ -267,43 +270,50 @@ class Quandle:
         return self.canonical_form() == other.canonical_form()
 
     def find_isomorphism(self, other: "Quandle") -> Permutation | None:
-        """Lexicographically least sigma with other == self.relabel(sigma), or None.
+        """Lexicographically least sigma with other == self.relabel(sigma), or None."""
+        return next(self._isomorphisms(other), None)
+
+    def _isomorphisms(self, other: "Quandle") -> Iterator[Permutation]:
+        """Every sigma with other == self.relabel(sigma), in lexicographic order.
 
         Backtracking over point images, pruned by matching each point's
         invariants (cycle type of its symmetry, orbit size).
         """
         if self.order != other.order:
-            return None
+            return
         n = self.order
 
-        def signature(q: "Quandle", x: int) -> tuple:
+        def signatures(q: "Quandle") -> list[tuple]:
             orbit_sizes = {p: len(orb) for orb in q.orbits() for p in orb}
-            return (q.symmetry(x).cycle_type(), orbit_sizes[x], q.table[x][x] == x)
+            return [(q.symmetry(x).cycle_type(), orbit_sizes[x]) for x in range(n)]
 
-        sig_self = [signature(self, x) for x in range(n)]
-        sig_other = [signature(other, x) for x in range(n)]
+        sig_self = signatures(self)
+        sig_other = signatures(other)
         if sorted(sig_self) != sorted(sig_other):
-            return None
+            return
+        t, u = self.table, other.table
         assignment: list[int] = []
         used = [False] * n
 
         def consistent(x: int, image: int) -> bool:
             # Check every constraint whose points are all assigned; the rest
-            # are deferred to the leaf verification.
+            # are deferred to the leaf check.
             for y in range(x + 1):
                 img_y = image if y == x else assignment[y]
-                t = self.table[x][y]
-                if t <= x and other.table[image][img_y] != (image if t == x else assignment[t]):
+                v = t[x][y]
+                if v <= x and u[image][img_y] != (image if v == x else assignment[v]):
                     return False
-                t = self.table[y][x]
-                if t <= x and other.table[img_y][image] != (image if t == x else assignment[t]):
+                v = t[y][x]
+                if v <= x and u[img_y][image] != (image if v == x else assignment[v]):
                     return False
             return True
 
-        def extend(x: int) -> Permutation | None:
+        def extend(x: int) -> Iterator[Permutation]:
             if x == n:
-                sigma = Permutation(tuple(assignment))
-                return sigma if self.relabel(sigma) == other else None
+                s = assignment
+                if all(u[s[a]][s[b]] == s[t[a][b]] for a in range(n) for b in range(n)):
+                    yield Permutation(tuple(s))
+                return
             for image in range(n):
                 if used[image] or sig_self[x] != sig_other[image]:
                     continue
@@ -311,23 +321,20 @@ class Quandle:
                     continue
                 assignment.append(image)
                 used[image] = True
-                found = extend(x + 1)
-                if found is not None:
-                    return found
+                yield from extend(x + 1)
                 assignment.pop()
                 used[image] = False
-            return None
 
-        return extend(0)
+        yield from extend(0)
 
 
 # ---------------------------------------------------------------------------
 # Vectorized relabeling over the S_n index, shared by canonical forms and
-# automorphisms.
+# the oracle's class dedup.
 # ---------------------------------------------------------------------------
 
 
-def _relabelings_flat(table: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+def _relabelings_flat(table: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """All n! relabeled tables, flattened to rows of length n*n.
 
     Row p holds the table of relabel(perms[p]) in row-major order, perms
@@ -339,11 +346,11 @@ def _relabelings_flat(table: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, n
     t = np.array(table, dtype=np.int8)
     mid = t[invs[:, :, None], invs[:, None, :]]
     relabeled = perms[np.arange(len(perms))[:, None, None], mid]
-    return relabeled.reshape(len(perms), n * n), perms
+    return relabeled.reshape(len(perms), n * n)
 
 
 def _canonical_table(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    flat, _ = _relabelings_flat(table)
+    flat = _relabelings_flat(table)
     n = len(table)
     live = np.arange(flat.shape[0])
     for col in range(n * n):

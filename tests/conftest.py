@@ -39,7 +39,7 @@ class CensusStore:
         self._brute = {}
         self._structure = {}
         self.brute_seconds: dict[int, float] = {}
-        self.structure_seconds: dict[tuple[int, bool], float] = {}
+        self.structure_seconds: dict[int, float] = {}
 
     def brute(self, n: int):
         if n not in self._brute:
@@ -48,18 +48,25 @@ class CensusStore:
             self.brute_seconds[n] = time.perf_counter() - start
         return self._brute[n]
 
-    def structure(self, n: int, use_filters: bool = True):
-        key = (n, use_filters)
-        if key not in self._structure:
+    def structure(self, n: int):
+        if n not in self._structure:
             start = time.perf_counter()
-            self._structure[key] = enumerate_connected(n, use_filters=use_filters)
-            self.structure_seconds[key] = time.perf_counter() - start
-        return self._structure[key]
+            self._structure[n] = enumerate_connected(n)
+            self.structure_seconds[n] = time.perf_counter() - start
+        return self._structure[n]
 
 
 @pytest.fixture(scope="session")
 def censuses() -> CensusStore:
     return CensusStore()
+
+
+@pytest.fixture(scope="session")
+def census_7():
+    """The order-7 brute-force census (about 30 s), built once per session."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("QUANDLE_MAX_ORDER", "7")
+        return enumerate_all(7)
 
 
 # Acceptance results are printed after the run so they survive output

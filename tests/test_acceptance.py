@@ -175,11 +175,10 @@ def test_criterion_5_census_agreement(censuses):
             census = censuses.brute(n)
             assert len(census) == CLASS_COUNTS[n - 1]
             assert count_connected(census) == CONNECTED_COUNTS[n - 1]
-            for use_filters in (True, False):
-                entries = censuses.structure(n, use_filters)
-                assert len(entries) == CONNECTED_COUNTS[n - 1]
-                brute_tables = [q.table for q in census.connected()]
-                assert [e.quandle.table for e in entries] == brute_tables
+            entries = censuses.structure(n)
+            assert len(entries) == CONNECTED_COUNTS[n - 1]
+            brute_tables = [q.table for q in census.connected()]
+            assert [e.quandle.table for e in entries] == brute_tables
         (entry,) = censuses.structure(3)
         assert entry.quandle == Quandle(TAIT_TABLE).canonical_form()
         assert entry.inner_order == 6

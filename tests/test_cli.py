@@ -119,7 +119,19 @@ class TestInfo:
         code, out, err = run(capsys, "info", path)
         assert code == 2
         assert out == ""
-        assert "exceeds the hard bound" in err
+        assert err == "error: order 9 exceeds the hard bound 8\n"
+
+    # info is the only file verb with a bound: Aut of the trivial quandle of
+    # order n is all of S_n.
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["iso"], ["decompose"], ["decompose", "--tree"],
+    ], ids=" ".join)
+    def test_other_file_verbs_have_no_bound(self, capsys, tmp_path, argv):
+        path = write_quandle(tmp_path / "r9.json", dihedral_quandle(9))
+        files = [path] * (2 if argv == ["iso"] else 1)
+        code, out, _ = run(capsys, *argv, *files)
+        assert code == 0
+        assert out
 
 
 class TestIso:
@@ -268,10 +280,12 @@ class TestCensus:
 
 
     @pytest.mark.slow
-    def test_order_7_check_matches(self, capsys, monkeypatch):
+    def test_order_7_check_matches(self, capsys, monkeypatch, census_7):
         # 298 classes and 5 connected: Vendramin (brute force), and Hulpke,
         # Stanovsky and Vojtechovsky (transitive groups of degree 7).
         monkeypatch.setenv("QUANDLE_MAX_ORDER", "7")
+        # The brute-force census is the session's, shared with test_oracle.
+        monkeypatch.setattr("quandles.cli.enumerate_all", {7: census_7}.__getitem__)
         code, out, _ = run(capsys, "census", "--order", "7", "--check")
         assert code == 0
         lines = out.splitlines()
@@ -314,6 +328,7 @@ class TestUsageAndBounds:
         ["tree", "q3.json"],
         ["enumerate", "--order", "3", "--jobs", "1"],
         ["census", "--order", "3", "--jobs", "1"],
+        ["enumerate", "--order", "3", "--connected", "--no-filters"],
     ])
     def test_removed_verb_and_flag_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -344,6 +359,21 @@ class TestUnreadableInput:
         assert code == 3
         assert out == ""
         assert "nested too deeply" in err
+
+    # Grid tokens str.isdigit passes and int() rejects, and ints too long for int().
+    @pytest.mark.parametrize("verb", ["validate", "info", "decompose"])
+    @pytest.mark.parametrize("data", [
+        b"--1\n",
+        "1\n\u00b2\n".encode(),
+        b"1\n" + b"9" * 5000 + b"\n",
+        b'{"order":1,"table":[[' + b"9" * 5000 + b"]]}",
+    ], ids=["double-minus", "superscript-two", "long-grid-int", "long-json-int"])
+    def test_ints_that_int_rejects_are_malformed(self, capsys, tmp_path, verb, data):
+        path = tmp_path / "q.txt"
+        path.write_bytes(data)
+        code, out, _ = run(capsys, verb, str(path))
+        assert code == 3
+        assert out == ""
 
 
 def test_module_entry_point(tmp_path, t3):
@@ -449,3 +479,55 @@ class TestComposeFuzz:
         assert code in (0, 1, 3)
         if code != 0:
             assert out == ""
+
+
+_GRID_TOKENS = (
+    st.integers(min_value=-1, max_value=4).map(str)
+    | st.sampled_from(["--1", "\u00b2", "\uff11", "1_0", "+1", "0x1", "1.0", "9" * 5000])
+    | st.text(max_size=3)
+)
+_grid_texts = st.one_of(
+    st.lists(_GRID_TOKENS, max_size=12),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.lists(_GRID_TOKENS, min_size=k * k, max_size=k * k).map(
+            lambda tokens: [str(k)] + tokens)),
+).map(" ".join)
+_small = st.integers(min_value=-1, max_value=4)
+_quandle_objs = st.fixed_dictionaries({
+    "order": _small | _json_values,
+    "table": st.lists(st.lists(_small | _json_values, max_size=4), max_size=4) | _json_values,
+})
+_file_bytes = st.one_of(
+    st.binary(max_size=64),
+    _grid_texts.map(str.encode),
+    (_json_values | _quandle_objs).map(lambda obj: json.dumps(obj).encode()),
+)
+
+
+class TestFileVerbFuzz:
+    """validate, info, iso and decompose on arbitrary bytes, grids and JSON.
+
+    Exit 2 and 3 leave stdout empty.  Exit 1 is a well-formed table with a
+    negative answer: axiom violations listed by validate, "non-isomorphic"
+    from iso, or "not a quandle" on stderr with nothing on stdout.
+    """
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(verb=st.sampled_from(["validate", "info", "iso", "decompose"]),
+           first=_file_bytes, second=_file_bytes)
+    def test_main_never_crashes(self, capsys, tmp_path, verb, first, second):
+        paths = [tmp_path / "first", tmp_path / "second"]
+        paths[0].write_bytes(first)
+        paths[1].write_bytes(second)
+        files = [str(p) for p in paths[: 2 if verb == "iso" else 1]]
+        code, out, err = run(capsys, verb, *files)
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert out == ""
+        if code == 1 and err:
+            assert out == ""
+            assert err.startswith("error: not a quandle: ")
+        elif code == 1:
+            negative = {"validate": "violation: ", "iso": "non-isomorphic\n"}[verb]
+            assert out.startswith(negative)

@@ -137,10 +137,8 @@ class TestCensus:
 
 
 @pytest.mark.slow
-def test_order_7_published_counts(monkeypatch):
+def test_order_7_published_counts(census_7):
     # Vendramin, "On the classification of quandles of low order": 298
     # classes of order 7, 5 of them connected.
-    monkeypatch.setenv("QUANDLE_MAX_ORDER", "7")
-    census = enumerate_all(7)
-    assert len(census) == 298
-    assert count_connected(census) == 5
+    assert len(census_7) == 298
+    assert count_connected(census_7) == 5

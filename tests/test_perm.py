@@ -231,37 +231,6 @@ class TestGroupStructure:
         assert not g.is_transitive()
         assert self.s3().is_transitive()
 
-    def test_right_cosets_whole_group(self):
-        g = self.s3()
-        cosets = g.right_cosets(g)
-        assert len(cosets) == 1
-        assert cosets[0][0].is_identity()
-
-    def test_right_cosets_partition(self):
-        g = self.s3()
-        h = generate_group([perm((1, 2), degree=3)], 3)
-        cosets = g.right_cosets(h)
-        assert len(cosets) == 3
-        members = [m for _, ms in cosets for m in ms]
-        assert sorted(members) == list(g.elements)
-        # the coset of h itself is represented by the identity
-        assert cosets[0][0].is_identity()
-        # every coset is h * x for its representative
-        for rep, ms in cosets:
-            assert sorted(x * rep for x in h.elements) == ms
-
-    def test_right_cosets_by_trivial_subgroup(self):
-        g = self.s3()
-        cosets = g.right_cosets(PermGroup.trivial(3))
-        assert len(cosets) == len(g)
-        assert all(len(ms) == 1 for _, ms in cosets)
-
-    def test_right_cosets_rejects_non_subgroup(self):
-        other = generate_group([perm((0, 1), degree=3)], 3)
-        cyclic = generate_group([perm((0, 1, 2), degree=3)], 3)
-        with pytest.raises(ValueError):
-            cyclic.right_cosets(other)
-
 
 def transitive_classes_oracle(n):
     """All transitive subgroups of S_n up to conjugacy, by exhaustive closure.

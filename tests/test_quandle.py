@@ -9,6 +9,7 @@ exhaustive automorphism filters, witness sets) are local to this file.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -248,9 +249,14 @@ class TestAutomorphisms:
         ]
 
     def test_matches_exhaustive_filter(self, censuses):
-        for n in range(1, 5):
-            for q in censuses.brute(n).tables:
-                assert list(q.automorphism_group().elements) == automorphism_oracle(q)
+        # The canonical tables are lex-least, so a seeded relabeling of each
+        # class also exercises the constraints the search defers to its leaves.
+        rng = random.Random(6)
+        for n in range(1, 6):
+            for canon in censuses.brute(n).tables:
+                sigma = Permutation(tuple(rng.sample(range(n), n)))
+                for q in (canon, canon.relabel(sigma)):
+                    assert list(q.automorphism_group().elements) == automorphism_oracle(q)
 
     def test_inner_is_subgroup_of_aut(self, t3, q3):
         for q in (t3, q3, dihedral_quandle(6)):
