@@ -101,13 +101,13 @@ class GammaHom:
 
 def check_gamma_hom(hom: GammaHom) -> None:
     """Raise the first violation in scan order: relations (x, y), then images."""
-    table = hom.source.table
-    n = hom.source.order
-    for x in range(n):
-        for y in range(n):
-            if hom.assignment[table[x][y]] != hom.assignment[x].conjugated_by(hom.assignment[y]):
+    # |x > y| = |y|^-1 |x| |y| on image tuples: img[x > y][img[y][p]] == img[y][img[x][p]].
+    img = [p.images for p in hom.assignment]
+    for x, row in enumerate(hom.source.table):
+        for y, xy in enumerate(row):
+            if [img[xy][p] for p in img[y]] != [img[y][p] for p in img[x]]:
                 raise RelationViolationError(x, y)
-    for x in range(n):
+    for x in range(hom.source.order):
         if not hom.target.is_automorphism(hom.assignment[x]):
             raise NotAnAutomorphismError(x)
 

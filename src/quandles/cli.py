@@ -17,7 +17,7 @@ from pathlib import Path
 from . import formats
 from .augment import HomError
 from .config import BoundError, resolve_bound
-from .decompose import Decomposition, MeshError, decompose, decomposition_tree
+from .decompose import Decomposition, MeshError, decompose, decomposition_tree, semidisjoint_union
 from .enumeration import enumerate_connected
 from .oracle import enumerate_all
 from .quandle import Quandle, axiom_violations
@@ -103,14 +103,15 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_compose(args: argparse.Namespace) -> int:
     obj = formats.parse_json(_read_text(args.file))
     mesh = formats.mesh_from_obj(obj)
-    # Without a layout the mesh composes in block order.
-    layout = tuple((bi, li) for bi, block in enumerate(mesh.blocks) for li in range(block.order))
-    if obj.get("layout") is not None:
-        given = formats.layout_from_obj(obj["layout"], mesh.order)
-        if sorted(given) != list(layout):
-            raise formats.FormatError("layout does not match the mesh block sizes")
-        layout = given
-    q = Decomposition(mesh, layout).reassemble()
+    if obj.get("layout") is None:
+        q = semidisjoint_union(mesh)
+    else:
+        layout = formats.layout_from_obj(obj["layout"], mesh.order)
+        try:
+            dec = Decomposition(mesh, layout)
+        except ValueError as exc:
+            raise formats.FormatError(str(exc)) from None
+        q = dec.reassemble()
     _emit(formats.canonical_json(formats.quandle_to_obj(q)))
     return EXIT_OK
 

@@ -86,7 +86,7 @@ class Mesh:
     homs[i][j] takes generators of blocks[i] to automorphisms of blocks[j];
     no entry may be None.  The first failure is raised, witnesses least in
     scan order: shape, each entry's source and target, the diagonals, each
-    hom, Condition 1, Condition 2.
+    off-diagonal hom, Condition 1, Condition 2.
     """
 
     blocks: tuple[Quandle, ...]
@@ -116,15 +116,13 @@ class Mesh:
         for i in range(k):
             if homs[i][i].assignment != tuple(blocks[i].symmetries()):
                 raise DiagonalNotCanonicalError(i)
-        for row in homs:
-            for entry in row:
-                check_gamma_hom(entry)
+        # A canonical diagonal is a hom by its block's self-distributivity.
+        for i, j in itertools.permutations(range(k), 2):
+            check_gamma_hom(homs[i][j])
 
         # Condition 1: for x, z in block i and y in block j, the outside action
         # of y on x > z matches acting on x and z separately.
-        for i, j in itertools.product(range(k), repeat=2):
-            if i == j:
-                continue
+        for i, j in itertools.permutations(range(k), 2):
             ti = blocks[i].table
             a_ji = homs[j][i]  # action of block-j points on block i
             a_ij = homs[i][j]  # action of block-i points on block j
@@ -196,21 +194,22 @@ def semidisjoint_union(mesh: Mesh) -> Quandle:
 
 
 def _composed_table(
-    blocks: Sequence[Quandle], homs: Sequence[Sequence[GammaHom]]
+    blocks: Sequence[Quandle], homs: Sequence[Sequence[GammaHom]], layout: Sequence | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """The raw composed table; does not require the mesh to be valid."""
-    offsets = [0]
-    for b in blocks[:-1]:
-        offsets.append(offsets[-1] + b.order)
-    n = sum(b.order for b in blocks)
-    table = [[0] * n for _ in range(n)]
-    for j, bj in enumerate(blocks):
-        for i, bi in enumerate(blocks):
-            hom = homs[i][j]
-            for xl in range(bj.order):
-                for yl in range(bi.order):
-                    table[offsets[j] + xl][offsets[i] + yl] = offsets[j] + hom.assignment[yl](xl)
-    return tuple(tuple(row) for row in table)
+    """The raw composed table; does not require the mesh to be valid.
+
+    layout[g] = (block, local) places point g; the default is block order.
+    """
+    layout = _block_order(blocks) if layout is None else layout
+    where = {pair: g for g, pair in enumerate(layout)}
+    return tuple(
+        tuple(where[j, homs[i][j].assignment[y].images[x]] for i, y in layout) for j, x in layout
+    )
+
+
+def _block_order(blocks: Sequence[Quandle]) -> tuple[tuple[int, int], ...]:
+    """The layout that places block 0's points first, then block 1's, ..."""
+    return tuple((i, x) for i, block in enumerate(blocks) for x in range(block.order))
 
 
 def disjoint_union(blocks: Sequence[Quandle]) -> Quandle:
@@ -228,25 +227,24 @@ class Decomposition:
     """A quandle expressed as the semidisjoint union of its inner orbits.
 
     layout[g] = (block index, local index) places each original point; the
-    blocks are the orbits in order of least element, each sorted.
+    blocks are the orbits in order of least element, each sorted.  A layout
+    that does not place every block point exactly once raises ValueError.
     """
 
     mesh: Mesh
     layout: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        if sorted(self.layout) != list(_block_order(self.mesh.blocks)):
+            raise ValueError("layout does not match the mesh block sizes")
+
     @property
     def blocks(self) -> tuple[Quandle, ...]:
         return self.mesh.blocks
 
-    def global_order(self) -> tuple[int, ...]:
-        """Original labels in composed order: orbit 0 ascending, then orbit 1, ..."""
-        pairs = sorted(range(len(self.layout)), key=lambda g: self.layout[g])
-        return tuple(pairs)
-
     def reassemble(self) -> Quandle:
-        """Compose the mesh and restore the original labels."""
-        composed = semidisjoint_union(self.mesh)
-        return composed.relabel(Permutation(self.global_order()))
+        """Compose the mesh with each point placed by the layout."""
+        return Quandle(_composed_table(self.mesh.blocks, self.mesh.homs, self.layout))
 
 
 def decompose(q: Quandle) -> Decomposition:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -42,7 +43,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(int(v) for v in self.images)
+        raw = tuple(self.images)
+        if bool in map(type, raw):
+            raise TypeError(f"permutation images must be ints, not bools: {list(raw)}")
+        images = tuple(map(operator.index, raw))
         object.__setattr__(self, "images", images)
         if not images:
             raise ValueError("degree 0 permutations are not supported")
@@ -73,10 +77,8 @@ class Permutation:
         return compose(self, other)
 
     def __pow__(self, exponent: int) -> "Permutation":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
         result = Permutation.identity(self.degree)
-        for _ in range(exponent):
+        for _ in range(exponent % math.lcm(*self.cycle_type())):
             result = result * self
         return result
 
@@ -143,9 +145,9 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(q.images[v] for v in p.images))
 
 
-def _close(generators: Sequence[Permutation], degree: int) -> set[Permutation]:
-    """Closure of the generators under composition (breadth-first)."""
-    identity = Permutation.identity(degree)
+def _close(generators: Sequence[tuple[int, ...]], degree: int) -> set[tuple[int, ...]]:
+    """Image tuples of the group the generators' image tuples generate (breadth-first)."""
+    identity = tuple(range(degree))
     elements = {identity}
     frontier = [identity]
     cap = math.factorial(degree)
@@ -153,7 +155,7 @@ def _close(generators: Sequence[Permutation], degree: int) -> set[Permutation]:
         step = []
         for x in frontier:
             for g in generators:
-                y = x * g
+                y = tuple([g[v] for v in x])  # x * g
                 if y not in elements:
                     elements.add(y)
                     step.append(y)
@@ -171,8 +173,8 @@ def generate_group(generators: Iterable[Permutation], degree: int) -> "PermGroup
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != group degree {degree}")
-    elements = _close(gens, degree)
-    return PermGroup(degree, tuple(gens), tuple(sorted(elements)))
+    elements = sorted(_close([g.images for g in gens], degree))
+    return PermGroup(degree, tuple(gens), tuple(map(Permutation, elements)))
 
 
 class PermGroup:
@@ -212,12 +214,12 @@ class PermGroup:
             if e.degree != degree:
                 raise ValueError(f"element degree {e.degree} != group degree {degree}")
         gens: list[Permutation] = []
-        current: set[Permutation] = {Permutation.identity(degree)}
+        current = {tuple(range(degree))}
         for e in elems:
-            if e not in current:
+            if e.images not in current:
                 gens.append(e)
-                current = _close(gens, degree)
-        if sorted(current) != elems:
+                current = _close([g.images for g in gens], degree)
+        if sorted(current) != [e.images for e in elems]:
             raise ValueError("element set is not closed under composition")
         return cls(degree, tuple(gens), tuple(elems))
 

@@ -136,13 +136,15 @@ class Quandle:
     __slots__ = ("table", "_cache")
 
     def __init__(self, table: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows = tuple(map(tuple, table))
         if not rows:
             raise ValueError("a quandle needs at least one point")
+        # The raw entries are checked, so a float, string or bool is a range
+        # violation; numpy ints pass and become ints.
         bad = axiom_violations(rows)
         if bad:
             raise ValueError(f"not a quandle: {bad[0].describe()}")
-        object.__setattr__(self, "table", rows)
+        object.__setattr__(self, "table", tuple(tuple(map(int, row)) for row in rows))
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -5,22 +5,58 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles.augment import (
     GammaHom,
     NotAnAutomorphismError,
     RelationViolationError,
     canonical_hom,
+    check_gamma_hom,
     evaluate,
     trivial_hom,
     validate_gamma_hom,
 )
+from quandles.oracle import enumerate_all
 from quandles.perm import Permutation
 from quandles.quandle import Quandle, trivial_quandle
+
+SMALL = [q for n in range(1, 5) for q in enumerate_all(n).tables]
 
 
 def perm(*cycles, degree):
     return Permutation.from_cycles(degree, *cycles)
+
+
+def reference_violation(hom):
+    """The first violation by the textbook formula, conjugated_by on Permutations."""
+    table = hom.source.table
+    n = hom.source.order
+    for x in range(n):
+        for y in range(n):
+            if hom.assignment[table[x][y]] != hom.assignment[x].conjugated_by(hom.assignment[y]):
+                return RelationViolationError, (x, y)
+    for x in range(n):
+        if not hom.target.is_automorphism(hom.assignment[x]):
+            return NotAnAutomorphismError, (x,)
+    return None
+
+
+@st.composite
+def assignments(draw):
+    """A source of order <= 4, a target of order <= 3 and any images in S_m.
+
+    Half the draws take their images from at most two permutations, so the
+    relations often hold and the automorphism half is reached.
+    """
+    source = draw(st.sampled_from(SMALL))
+    target = draw(st.sampled_from([q for q in SMALL if q.order <= 3]))
+    perms = [Permutation(p) for p in itertools.permutations(range(target.order))]
+    if draw(st.booleans()):
+        perms = draw(st.lists(st.sampled_from(perms), min_size=1, max_size=2))
+    images = draw(st.lists(st.sampled_from(perms), min_size=source.order, max_size=source.order))
+    return GammaHom(source, target, tuple(images))
 
 
 class TestValidation:
@@ -79,6 +115,18 @@ class TestValidation:
         assignment = (perm((0, 2), degree=3), Permutation.identity(3), Permutation.identity(3))
         with pytest.raises(RelationViolationError):
             validate_gamma_hom(t3, q3, assignment)
+
+    @settings(max_examples=300, deadline=None)
+    @given(assignments())
+    def test_matches_conjugation_reference(self, hom):
+        try:
+            check_gamma_hom(hom)
+            found = None
+        except RelationViolationError as exc:
+            found = (RelationViolationError, (exc.x, exc.y))
+        except NotAnAutomorphismError as exc:
+            found = (NotAnAutomorphismError, (exc.x,))
+        assert found == reference_violation(hom)
 
     def test_shape_errors(self, t3):
         with pytest.raises(ValueError):

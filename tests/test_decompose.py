@@ -19,6 +19,7 @@ from quandles.augment import GammaHom, canonical_hom, trivial_hom
 from quandles.decompose import (
     Condition1ViolationError,
     Condition2ViolationError,
+    Decomposition,
     DiagonalNotCanonicalError,
     Mesh,
     MeshError,
@@ -31,7 +32,7 @@ from quandles.decompose import (
     validate_mesh,
 )
 from quandles.perm import Permutation
-from quandles.quandle import Quandle, is_quandle_table, trivial_quandle
+from quandles.quandle import Quandle, dihedral_quandle, is_quandle_table, trivial_quandle
 
 
 def perm(*cycles, degree):
@@ -188,7 +189,8 @@ class TestSemidisjointUnion:
             ]
             calls.clear()
             mesh = validate_mesh(blocks, homs)
-            assert len(calls) == k * k
+            # Off-diagonal entries only: a canonical diagonal is a hom already.
+            assert len(calls) == k * (k - 1)
             calls.clear()
             semidisjoint_union(mesh)
             assert calls == []
@@ -243,6 +245,21 @@ class TestDecompose:
         dec = decompose(scattered)
         assert dec.layout == ((0, 0), (1, 0), (0, 1))
         assert dec.reassemble() == scattered
+
+    def test_layout_must_place_every_block_point_once(self):
+        dec = decompose(dihedral_quandle(4))  # orbits {0, 2} and {1, 3}
+        assert dec.layout == ((0, 0), (1, 0), (0, 1), (1, 1))
+        for layout in (
+            ((0, 0),) * 4,  # duplicated
+            ((0, 0), (1, 0), (0, 1), (2, 0)),  # block out of range
+            ((0, 0), (1, 0), (0, 1), (1, 2)),  # local index out of range
+            ((0, 0), (1, 0), (0, 1)),  # too short
+        ):
+            with pytest.raises(ValueError, match="layout does not match the mesh block sizes"):
+                Decomposition(dec.mesh, layout)
+        # Any arrangement of the block points composes to the relabeled table.
+        swapped = Decomposition(dec.mesh, ((1, 0), (0, 0), (1, 1), (0, 1))).reassemble()
+        assert swapped == dec.reassemble().relabel(perm((0, 1), (2, 3), degree=4))
 
     def test_redecomposition_is_identical(self, censuses):
         for q in censuses.brute(4).tables:

@@ -46,6 +46,11 @@ class TestPermutation:
             Permutation((0, 0, 1))
         with pytest.raises(ValueError):
             Permutation((1, 2, 3))
+        # Images must be ints: floats, strings and bools are refused, not converted.
+        for images in ((1.0, 0.0), ("1", "0"), (True, False), (1, False)):
+            with pytest.raises(TypeError):
+                Permutation(images)
+        assert Permutation(np.array([1, 0], dtype=np.int8)).images == (1, 0)
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
@@ -96,6 +101,11 @@ class TestPermutation:
         assert c**3 == Permutation.identity(3)
         assert c**-1 == c.inverse()
         assert c**-2 == (c * c).inverse()
+        # The exponent is reduced modulo the order, lcm(2, 3) = 6 here.
+        p = perm((0, 1), (2, 3, 4), degree=5)
+        assert p**3_000_001 == p**1
+        assert p**-3_000_001 == p.inverse()
+        assert p**-7 == p**5
 
     def test_conjugated_by(self):
         p = perm((0, 1), degree=3)

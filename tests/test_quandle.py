@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,12 @@ class TestValidation:
     def test_constructor_raises_with_named_violation(self):
         with pytest.raises(ValueError, match="acted on by itself"):
             Quandle([[1, 0], [0, 1]])
+        # Entries must be ints: the raw entries are checked before any conversion.
+        for table in ([[0.7]], [["0"]], [[False]], [[0, 1.0], [0, 1]]):
+            with pytest.raises(ValueError, match="not a point of the quandle"):
+                Quandle(table)
+        q = Quandle(np.array([[0, 0], [1, 1]], dtype=np.int8))
+        assert q.table == ((0, 0), (1, 1)) and type(q.table[1][0]) is int
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
