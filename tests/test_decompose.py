@@ -9,6 +9,7 @@ it.  Acceptance runs the large randomized version; here the profile
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import itertools
 import random
@@ -291,3 +292,75 @@ class TestDecompositionTree:
         for n in range(1, 5):
             for q in censuses.brute(n).tables:
                 assert decomposition_tree(q).replay() == q
+
+
+class TestFrozenMeshOutcomes:
+    """Every outcome of a seeded set of random meshes, frozen by digest.
+
+    Blocks come from the order 1-4 censuses; diagonals are omitted,
+    canonical or arbitrary automorphisms; off-diagonal entries are mostly
+    trivial or constant-automorphism homs, which pass the hom check so the
+    conditions decide.  A failure is frozen as its type, message and
+    witness, a success as the composed table and the filled hom matrix.
+    """
+
+    MESHES = 2400
+    DIGEST = "fd33991ccb1c575d210a95aa15ba6c93b02934b80838a12317976ca00b032564"
+
+    def test_random_meshes_frozen(self, censuses):
+        outcomes = [_mesh_outcome(blocks, homs) for blocks, homs in _random_meshes(censuses)]
+        kinds = [outcome[0] for outcome in outcomes]
+        assert len(outcomes) == self.MESHES
+        assert kinds.count("Condition2ViolationError") >= 100
+        assert kinds.count("Condition1ViolationError") >= 100
+        assert kinds.count("ok") >= 100
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == self.DIGEST
+
+
+def _random_meshes(censuses):
+    rng = random.Random(2005)
+    tables = {n: censuses.brute(n).tables for n in range(1, 5)}
+    auts = {
+        q: [p for p in map(Permutation, itertools.permutations(range(q.order)))
+            if q.is_automorphism(p)]
+        for n in tables for q in tables[n]
+    }
+    for _ in range(TestFrozenMeshOutcomes.MESHES):
+        k = rng.choice((1, 2, 2, 3, 3, 3, 4, 4))
+        blocks = [rng.choice(tables[rng.randint(1, 4)]) for _ in range(k)]
+        homs = [
+            [_random_entry(rng, blocks[i], blocks[j], i == j, tables, auts) for j in range(k)]
+            for i in range(k)
+        ]
+        yield blocks, homs
+
+
+def _random_entry(rng, source, target, diagonal, tables, auts):
+    roll = rng.random()
+    if diagonal:
+        if roll < 0.85:
+            return None
+        if roll < 0.99:
+            return GammaHom(source, source, tuple(source.symmetries()))
+        return GammaHom(source, source, tuple(rng.choice(auts[source]) for _ in source.table))
+    if roll < 0.005:
+        return None
+    if roll < 0.01:
+        return trivial_hom(rng.choice(tables[source.order]), target)
+    if roll < 0.2:
+        return trivial_hom(source, target)
+    if roll < 0.92:
+        image = rng.choice(auts[target])
+        return GammaHom(source, target, (image,) * source.order)
+    if roll < 0.97:
+        return GammaHom(source, target, tuple(rng.choice(auts[target]) for _ in source.table))
+    return _random_hom(rng, source, target)
+
+
+def _mesh_outcome(blocks, homs):
+    try:
+        mesh = validate_mesh(blocks, homs)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    images = tuple(tuple(tuple(p.images for p in h.assignment) for h in row) for row in mesh.homs)
+    return "ok", semidisjoint_union(mesh).table, images

@@ -8,6 +8,7 @@ exhaustive automorphism filters, witness sets) are local to this file.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -231,6 +232,11 @@ class TestOrbits:
             t3.subquandle([0, 1])
 
 
+def _point_invariants(q):
+    orbit_size = {p: len(orbit) for orbit in q.orbits() for p in orbit}
+    return sorted((q.symmetry(x).cycle_type(), orbit_size[x]) for x in range(q.order))
+
+
 def automorphism_oracle(q):
     n = q.order
     out = []
@@ -347,6 +353,39 @@ class TestIsomorphism:
                 a.order == b.order and a.canonical_form() == b.canonical_form()
             )
             assert same_canon == (a.find_isomorphism(b) is not None)
+
+    ISO_DIGEST = "754797de615a6fa309a1ac65de7c111e3d6a0eb5958fd1a519904e28b4941403"
+
+    def test_isomorphism_search_frozen(self, censuses):
+        # Aut elements and generators, and the isomorphism witnesses both
+        # ways, for every class of orders 1-6 and a seeded relabeling of it,
+        # then for relabeled pairs from different classes of one order.
+        rng = random.Random(1005)
+        outcomes = []
+        for n in range(1, 7):
+            for q in censuses.brute(n).tables:
+                r = q.relabel(Permutation(tuple(rng.sample(range(n), n))))
+                for a in (q, r):
+                    aut = a.automorphism_group()
+                    outcomes.append(([p.images for p in aut], [p.images for p in aut.generators]))
+                outcomes.append((q.find_isomorphism(r).images, r.find_isomorphism(q).images))
+        # Pairs whose points share invariants reach the backtracking; the
+        # random pairs mostly stop at the invariants.
+        pairs = [
+            (a, b)
+            for n in (5, 6)
+            for a, b in itertools.combinations(censuses.brute(n).tables, 2)
+            if _point_invariants(a) == _point_invariants(b)
+        ]
+        assert len(pairs) == 13
+        while len(pairs) < 213:
+            pairs.append(rng.sample(censuses.brute(rng.randint(3, 6)).tables, 2))
+        for a, b in pairs:
+            q, r = (t.relabel(Permutation(tuple(rng.sample(range(t.order), t.order))))
+                    for t in (a, b))
+            assert q.find_isomorphism(r) is None and r.find_isomorphism(q) is None
+            outcomes.append((q.table, r.table))
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == self.ISO_DIGEST
 
     def test_order_3_has_three_classes_by_naive_enumeration(self):
         seen = set()
