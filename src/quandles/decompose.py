@@ -2,19 +2,23 @@
 
 A mesh is a list of block quandles plus a matrix of generator-assignment
 homs, homs[i][j] taking generators of block i's augmentation group to
-automorphisms of block j.  Diagonal entries are forced to the canonical
-assignment (each generator to its own symmetry).  A valid mesh composes to
-a quandle on the concatenated blocks:
+automorphisms of block j.  The diagonal is derived: Mesh fills an omitted
+diagonal entry with the canonical assignment (each generator to its own
+symmetry) and rejects any other.  A valid mesh composes to a quandle on the
+concatenated blocks:
 
     x > y  =  x acted on by homs[i][j](|y|),   for x in block j, y in block i.
 
-Validity is two cross-block coherence conditions on top of per-entry hom
-validity; they are exactly what the composed table needs to satisfy the
-quandle axioms.  A Mesh checks them once, when it is built, and
-semidisjoint_union's Quandle check of the composed table asserts that
-equivalence.  In the other direction, decompose splits any quandle into its
-inner orbits and reads the homs off the symmetry columns; composing the
-result reproduces the input table bit for bit.
+Validity is per-entry hom validity plus two cross-block conditions, which
+are one interchange law on a block i: for y in another block j, acting by
+y and then by z equals acting by z and then by y > z.  Condition 1 is the
+law for z in block i, Condition 2 for z in a third block; all Condition 1
+triples are scanned first.  Together they are exactly what the composed
+table needs to satisfy the quandle axioms.  A Mesh checks them once, when
+it is built, and semidisjoint_union's Quandle check of the composed table
+asserts that equivalence.  In the other direction, decompose splits any
+quandle into its inner orbits and reads the homs off the symmetry columns;
+composing the result reproduces the input table bit for bit.
 """
 
 from __future__ import annotations
@@ -83,10 +87,12 @@ class Condition2ViolationError(MeshError):
 class Mesh:
     """Blocks plus hom matrix, checked on construction like Quandle.
 
-    homs[i][j] takes generators of blocks[i] to automorphisms of blocks[j];
-    no entry may be None.  The first failure is raised, witnesses least in
-    scan order: shape, each entry's source and target, the diagonals, each
-    off-diagonal hom, Condition 1, Condition 2.
+    homs[i][j] takes generators of blocks[i] to automorphisms of blocks[j].
+    A None diagonal entry is filled with the block's symmetries and a given
+    one must equal them; no off-diagonal entry may be None.  The first
+    failure is raised, witnesses least in scan order: shape, each entry's
+    source and target, the diagonals, each off-diagonal hom, then the
+    interchange law, all Condition 1 triples before any Condition 2 triple.
     """
 
     blocks: tuple[Quandle, ...]
@@ -99,54 +105,49 @@ class Mesh:
         k = len(blocks)
         if len(self.homs) != k or any(len(row) != k for row in self.homs):
             raise ValueError(f"hom matrix must be {k}x{k}")
-        homs = tuple(tuple(row) for row in self.homs)
+        # columns[i][y] is the symmetry at y of block i, as an image tuple.
+        columns = [tuple(zip(*b.table)) for b in blocks]
+        homs = tuple(
+            tuple(
+                GammaHom(b, b, tuple(map(Permutation, columns[i]))) if h is None and i == j else h
+                for j, h in enumerate(row)
+            )
+            for i, (b, row) in enumerate(zip(blocks, self.homs))
+        )
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "homs", homs)
 
         for i, j in itertools.product(range(k), repeat=2):
             entry = homs[i][j]
             if entry is None:
-                kind = "off-diagonal" if i != j else "diagonal"
-                raise ValueError(f"{kind} hom ({i}, {j}) may not be omitted")
+                raise ValueError(f"off-diagonal hom ({i}, {j}) may not be omitted")
             if entry.source != blocks[i]:
                 raise ValueError(f"hom ({i}, {j}) source is not block {i}")
             if entry.target != blocks[j]:
                 raise ValueError(f"hom ({i}, {j}) target is not block {j}")
 
+        # act[m][i][z] is how point z of block m acts on block i.
+        act = [[tuple(p.images for p in h.assignment) for h in row] for row in homs]
         for i in range(k):
-            if homs[i][i].assignment != tuple(blocks[i].symmetries()):
+            if act[i][i] != columns[i]:
                 raise DiagonalNotCanonicalError(i)
         # A canonical diagonal is a hom by its block's self-distributivity.
         for i, j in itertools.permutations(range(k), 2):
             check_gamma_hom(homs[i][j])
 
-        # Condition 1: for x, z in block i and y in block j, the outside action
-        # of y on x > z matches acting on x and z separately.
-        for i, j in itertools.permutations(range(k), 2):
-            ti = blocks[i].table
-            a_ji = homs[j][i]  # action of block-j points on block i
-            a_ij = homs[i][j]  # action of block-i points on block j
-            for x, y, z in itertools.product(
-                range(blocks[i].order), range(blocks[j].order), range(blocks[i].order)
-            ):
-                lhs = ti[a_ji.assignment[y](x)][z]
-                rhs = a_ji.assignment[a_ij.assignment[z](y)](ti[x][z])
-                if lhs != rhs:
-                    raise Condition1ViolationError(i, j, x, y, z)
-
-        # Condition 2: for x in block i, y in block j, z in block k2, the two
-        # outside actions interchange after z adjusts y.
-        for i, j, k2 in itertools.permutations(range(k), 3):
-            a_ji = homs[j][i]
-            a_ki = homs[k2][i]
-            a_kj = homs[k2][j]
-            for x, y, z in itertools.product(
-                range(blocks[i].order), range(blocks[j].order), range(blocks[k2].order)
-            ):
-                lhs = a_ki.assignment[z](a_ji.assignment[y](x))
-                rhs = a_ji.assignment[a_kj.assignment[z](y)](a_ki.assignment[z](x))
-                if lhs != rhs:
-                    raise Condition2ViolationError(i, j, k2, x, y, z)
+        # Both conditions are one interchange law on block i: for x in block
+        # i, y in block j and z in block m, acting by y then z equals acting
+        # by z, then by y > z.  m == i is Condition 1 and a third block m is
+        # Condition 2; every Condition 1 triple is scanned first.
+        orders = [b.order for b in blocks]
+        condition_1 = ((i, j, i) for i, j in itertools.permutations(range(k), 2))
+        for i, j, m in itertools.chain(condition_1, itertools.permutations(range(k), 3)):
+            f, g, h = act[j][i], act[m][i], act[m][j]
+            for x, y, z in itertools.product(range(orders[i]), range(orders[j]), range(orders[m])):
+                if g[z][f[y][x]] != f[h[z][y]][g[z][x]]:
+                    if m == i:
+                        raise Condition1ViolationError(i, j, x, y, z)
+                    raise Condition2ViolationError(i, j, m, x, y, z)
 
     @property
     def order(self) -> int:
@@ -157,22 +158,8 @@ def validate_mesh(
     blocks: Sequence[Quandle],
     homs: Sequence[Sequence[GammaHom | None]],
 ) -> Mesh:
-    """Build a Mesh, filling each None diagonal entry with the block's symmetries.
-
-    Off-diagonal entries may not be None.  A provided diagonal is checked
-    against the symmetries by Mesh, which raises the first failure.
-    """
-    blocks = tuple(blocks)
-    filled = tuple(
-        tuple(
-            GammaHom(blocks[i], blocks[i], tuple(blocks[i].symmetries()))
-            if entry is None and i == j < len(blocks)
-            else entry
-            for j, entry in enumerate(row)
-        )
-        for i, row in enumerate(homs)
-    )
-    return Mesh(blocks, filled)
+    """The Mesh of these blocks and homs; it fills None diagonal entries."""
+    return Mesh(blocks, homs)
 
 
 def is_valid_mesh(blocks: Sequence[Quandle], homs: Sequence[Sequence[GammaHom | None]]) -> bool:

@@ -138,6 +138,14 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in parts)
 
 
+def _as_point(point: object, degree: int) -> int:
+    """The point as an int; ValueError unless it is a non-bool int in 0..degree-1."""
+    is_int = isinstance(point, (int, np.integer)) and not isinstance(point, bool)
+    if not (is_int and 0 <= point < degree):
+        raise ValueError(f"point {point!r} is not an int in 0..{degree - 1}")
+    return int(point)
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Left-to-right composition: apply p, then q."""
     if p.degree != q.degree:
@@ -250,7 +258,8 @@ class PermGroup:
         return all(a * b == b * a for a, b in itertools.combinations(self.generators, 2))
 
     def orbit(self, point: int) -> tuple[int, ...]:
-        return tuple(sorted({p(point) for p in self.elements}))
+        point = _as_point(point, self.degree)
+        return tuple(sorted({p.images[point] for p in self.elements}))
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -261,8 +270,7 @@ class PermGroup:
 
     def stabilizer(self, point: int) -> "PermGroup":
         """Subgroup fixing the point."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range for degree {self.degree}")
+        point = _as_point(point, self.degree)
         members = [p for p in self.elements if p(point) == point]
         stab = PermGroup.from_elements(members, self.degree)
         ensure(len(self) == len(stab) * len(self.orbit(point)), "orbit-stabilizer count fails")

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import HARD_MAX_ORDER, BoundError, ensure
-from .perm import PermGroup, Permutation, _sym_index, generate_group
+from .perm import PermGroup, Permutation, _as_point, _sym_index, generate_group
 
 __all__ = [
     "Quandle",
@@ -176,7 +176,8 @@ class Quandle:
 
     def symmetry(self, y: int) -> Permutation:
         """The permutation x -> x > y."""
-        return Permutation(tuple(self.table[x][y] for x in range(self.order)))
+        y = _as_point(y, self.order)
+        return Permutation(tuple(row[y] for row in self.table))
 
     def symmetries(self) -> list[Permutation]:
         return [self.symmetry(y) for y in range(self.order)]
@@ -228,7 +229,7 @@ class Quandle:
 
     def subquandle(self, points: Sequence[int]) -> "Quandle":
         """Induced quandle on a closed point set, relabeled to 0..k-1 in order."""
-        pts = sorted(set(int(p) for p in points))
+        pts = sorted({_as_point(p, self.order) for p in points})
         index = {p: k for k, p in enumerate(pts)}
         for x in pts:
             for y in pts:
@@ -279,7 +280,9 @@ class Quandle:
         """Every sigma with other == self.relabel(sigma), in lexicographic order.
 
         Backtracking over point images, pruned by matching each point's
-        invariants (cycle type of its symmetry, orbit size).
+        invariants (cycle type of its symmetry, orbit size).  Each cell
+        (a, b) is checked once, when the last of a, b and a > b gets its
+        image, so a full assignment is an isomorphism.
         """
         if self.order != other.order:
             return
@@ -294,38 +297,26 @@ class Quandle:
         if sorted(sig_self) != sorted(sig_other):
             return
         t, u = self.table, other.table
-        assignment: list[int] = []
+        # cells[x]: the cells (a, b) for which x is the last of a, b, a > b.
+        cells: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for a, b in itertools.product(range(n), repeat=2):
+            cells[max(a, b, t[a][b])].append((a, b))
+        s: list[int] = []
         used = [False] * n
-
-        def consistent(x: int, image: int) -> bool:
-            # Check every constraint whose points are all assigned; the rest
-            # are deferred to the leaf check.
-            for y in range(x + 1):
-                img_y = image if y == x else assignment[y]
-                v = t[x][y]
-                if v <= x and u[image][img_y] != (image if v == x else assignment[v]):
-                    return False
-                v = t[y][x]
-                if v <= x and u[img_y][image] != (image if v == x else assignment[v]):
-                    return False
-            return True
 
         def extend(x: int) -> Iterator[Permutation]:
             if x == n:
-                s = assignment
-                if all(u[s[a]][s[b]] == s[t[a][b]] for a in range(n) for b in range(n)):
-                    yield Permutation(tuple(s))
+                yield Permutation(tuple(s))
                 return
             for image in range(n):
                 if used[image] or sig_self[x] != sig_other[image]:
                     continue
-                if not consistent(x, image):
-                    continue
-                assignment.append(image)
-                used[image] = True
-                yield from extend(x + 1)
-                assignment.pop()
-                used[image] = False
+                s.append(image)
+                if all(u[s[a]][s[b]] == s[t[a][b]] for a, b in cells[x]):
+                    used[image] = True
+                    yield from extend(x + 1)
+                    used[image] = False
+                s.pop()
 
         yield from extend(0)
 

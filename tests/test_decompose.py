@@ -50,6 +50,19 @@ class TestValidateMesh:
         assert mesh.homs[0][0].assignment == tuple(t3.symmetries())
         assert semidisjoint_union(mesh) == t3
 
+    def test_mesh_fills_omitted_diagonals(self, t3, q3):
+        t1 = trivial_quandle(1)
+        homs = [[None, trivial_hom(t3, q3), trivial_hom(t3, t1)],
+                [trivial_hom(q3, t3), None, trivial_hom(q3, t1)],
+                [trivial_hom(t1, t3), trivial_hom(t1, q3), None]]
+        mesh = Mesh([t3, q3, t1], homs)
+        assert mesh == validate_mesh([t3, q3, t1], homs)
+        assert [mesh.homs[i][i] for i in range(3)] == [canonical_hom(b) for b in (t3, q3, t1)]
+        # An explicit canonical diagonal is accepted and gives the same mesh.
+        explicit = [[mesh.homs[i][i] if i == j else h for j, h in enumerate(row)]
+                    for i, row in enumerate(homs)]
+        assert Mesh([t3, q3, t1], explicit) == mesh
+
     def test_trivial_off_diagonal_always_valid(self, t3, q3):
         for blocks in ([t3, trivial_quandle(1)], [q3, t3], [trivial_quandle(2)] * 2):
             homs = [
@@ -79,19 +92,42 @@ class TestValidateMesh:
             validate_mesh([t2, t2], homs)
         assert info.value.witness == (0, 1, 0, 0, 0)
 
-    def test_diagonal_not_canonical(self, t3):
+    def test_condition_2_failure_with_least_witness(self):
+        # Points of the two outside blocks act on block 0 by the swap (0 1)
+        # and the swap (1 2), which do not commute: at x = 0 one order gives
+        # 2 and the other 1.
+        t3, t1 = trivial_quandle(3), trivial_quandle(1)
+        blocks = [t3, t1, t1]
+        homs = [[None, trivial_hom(t3, t1), trivial_hom(t3, t1)],
+                [hom(t1, t3, (1, 0, 2)), None, trivial_hom(t1, t1)],
+                [hom(t1, t3, (0, 2, 1)), trivial_hom(t1, t1), None]]
+        with pytest.raises(Condition2ViolationError) as info:
+            validate_mesh(blocks, homs)
+        assert info.value.witness == (0, 1, 2, 0, 0, 0)
+        assert not is_quandle_table(_composed_table(blocks, [
+            [canonical_hom(b) if h is None else h for b, h in zip(blocks, row)] for row in homs
+        ]))
+
+    def test_diagonal_not_canonical(self, t3, q3):
         homs = [[trivial_hom(t3, t3)]]
         with pytest.raises(DiagonalNotCanonicalError) as info:
             validate_mesh([t3], homs)
         assert info.value.i == 0
+        # The identity is an automorphism of q3 but not its symmetry at 2.
+        homs = [[canonical_hom(t3), trivial_hom(t3, q3)], [trivial_hom(q3, t3), trivial_hom(q3, q3)]]
+        for build in (Mesh, validate_mesh):
+            with pytest.raises(DiagonalNotCanonicalError) as info:
+                build([t3, q3], homs)
+            assert info.value.i == 1
 
     def test_shape_errors(self, t3):
         with pytest.raises(ValueError):
             validate_mesh([], [])
         with pytest.raises(ValueError):
             validate_mesh([t3], [[None, None]])
-        with pytest.raises(ValueError):
-            validate_mesh([t3, t3], [[None, None], [None, None]])
+        for build in (Mesh, validate_mesh):
+            with pytest.raises(ValueError, match=r"off-diagonal hom \(0, 1\) may not be omitted"):
+                build([t3, t3], [[None, None], [None, None]])
 
     def test_wrong_source_rejected(self, t3, q3):
         stray = trivial_hom(q3, t3)

@@ -231,15 +231,21 @@ class TestGroupStructure:
         assert len(cyclic.stabilizer(0)) == 1
 
     def test_stabilizer_point_out_of_range(self):
-        with pytest.raises(ValueError):
-            self.s3().stabilizer(3)
+        for point in (3, -1, True, 1.0):
+            with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
+                self.s3().stabilizer(point)
 
     def test_orbit_and_transitivity(self):
         g = generate_group([perm((0, 1), degree=4)], 4)
         assert g.orbit(0) == (0, 1)
         assert g.orbit(3) == (3,)
+        assert g.orbit(np.int64(1)) == (0, 1)
         assert not g.is_transitive()
         assert self.s3().is_transitive()
+        # Negative points do not wrap around to the last point.
+        for point in (4, -1, True, "0"):
+            with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..3"):
+                g.orbit(point)
 
 
 def transitive_classes_oracle(n):

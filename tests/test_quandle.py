@@ -134,6 +134,10 @@ class TestSymmetries:
         for q in (t3, q3, trivial_quandle(5), dihedral_quandle(5)):
             for x in range(q.order):
                 assert q.symmetry(x)(x) == x
+        # Negative points do not wrap around to the last symmetry.
+        for point in (3, -1, False):
+            with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
+                t3.symmetry(point)
 
     def test_trivial_symmetries_are_identity(self):
         q = trivial_quandle(4)
@@ -230,6 +234,10 @@ class TestOrbits:
     def test_subquandle_rejects_open_sets(self, t3):
         with pytest.raises(ValueError):
             t3.subquandle([0, 1])
+        for points in ([0, 3], [2, -1], [True], [0.0]):
+            with pytest.raises(ValueError, match=f"point {points[-1]!r} is not an int in 0..2"):
+                t3.subquandle(points)
+        assert t3.subquandle([np.int64(1)]) == trivial_quandle(1)
 
 
 def _point_invariants(q):
