@@ -107,8 +107,13 @@ def check_gamma_hom(hom: GammaHom) -> None:
         for y, xy in enumerate(row):
             if [img[xy][p] for p in img[y]] != [img[y][p] for p in img[x]]:
                 raise RelationViolationError(x, y)
-    for x in range(hom.source.order):
-        if not hom.target.is_automorphism(hom.assignment[x]):
+    # Generators often share an image (the identity most of all), so each
+    # distinct image is tested once and its verdict reused in x order.
+    verdicts: dict[tuple[int, ...], bool] = {}
+    for x, p in enumerate(hom.assignment):
+        if p.images not in verdicts:
+            verdicts[p.images] = hom.target.is_automorphism(p)
+        if not verdicts[p.images]:
             raise NotAnAutomorphismError(x)
 
 

@@ -12,13 +12,21 @@ as a forced assignment the moment both S_b and S_c are known.  Idempotence
 and invertibility hold by construction of the candidate columns, so every
 leaf is a quandle.
 
-The census search pins column 0 to one permutation per cycle type.  S_0
-fixes 0, and relabeling by a sigma that fixes 0 turns S_0 into
-sigma * S_0 * sigma^-1, so every class has a labeling whose S_0 is any
-chosen permutation of S_0's cycle type.  Each leaf is validated; the first
-leaf of a class is reduced to canonical form and every relabeling of it is
-marked seen, so later leaves of that class are recognized without another
-canonical form (isomorph rejection by orbit marking).
+The census search pins column 0 to the largest cycle type in the table.
+Cycle types are ordered as partitions of n, descending tuples compared
+lexicographically, so the identity is least.  Relabeling a point of
+largest type to 0 puts that type at column 0, and relabeling by a sigma
+that fixes 0 turns S_0 into sigma * S_0 * sigma^-1; so every class has a
+labeling whose S_0 is one chosen permutation per cycle type and no other
+column has a larger type.  With S_0 of type tau pinned, every other point
+is offered only candidate columns of type at most tau.  Forced columns need
+no filter: S_{b > c} is a conjugate of S_b, so it has S_b's type.  The
+identity pin then yields only the trivial quandle (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).  Each leaf is validated;
+the first leaf of a class is reduced to canonical form and every
+relabeling of it is marked seen, so later leaves of that class are
+recognized without another canonical form (isomorph rejection by orbit
+marking).
 """
 
 from __future__ import annotations
@@ -65,6 +73,22 @@ def _column_candidates(n: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
+def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of the permutation with these images, largest first."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 class _ColumnSearch:
     """Backtracking over symmetry columns with rack-condition propagation."""
 
@@ -72,11 +96,25 @@ class _ColumnSearch:
         self.n = n
         self.columns: list[tuple[int, ...] | None] = [None] * n
         self.candidates = _column_candidates(n)
+        self.offered = self.candidates
+        self.cycle_types = {c: _cycle_type(c) for c in itertools.chain(*self.candidates)}
         self.leaves: list[tuple[tuple[int, ...], ...]] = []
 
-    def run(self, first_column: tuple[int, ...] | None = None) -> list[tuple[tuple[int, ...], ...]]:
-        """Collect all completed tables; optionally pin the column at point 0."""
+    def run(
+        self,
+        first_column: tuple[int, ...] | None = None,
+        largest: tuple[int, ...] | None = None,
+    ) -> list[tuple[tuple[int, ...], ...]]:
+        """Collect all completed tables; optionally pin the column at point 0.
+
+        With largest, every point is offered only the candidate columns of
+        cycle type at most largest.
+        """
         self.leaves = []
+        self.offered = [
+            [c for c in column if largest is None or self.cycle_types[c] <= largest]
+            for column in self.candidates
+        ]
         if first_column is None:
             self._descend(0)
         else:
@@ -133,7 +171,7 @@ class _ColumnSearch:
             table = tuple(tuple(cols[c][x] for c in range(self.n)) for x in range(self.n))
             self.leaves.append(table)
             return
-        for images in self.candidates[y]:
+        for images in self.offered[y]:
             trail: list[int] = []
             if self._place(y, images, trail):
                 self._descend(y + 1)
@@ -173,15 +211,17 @@ def labeled_tables(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Quandle tables on points 0..n-1, one per labeling, sorted.
 
-    By default every labeling; with first_columns, only the tables whose
-    column at 0 (each a permutation fixing 0) is one of them.
+    By default every labeling.  With first_columns (each a permutation
+    fixing 0), only the tables whose column at 0 is one of them and has the
+    largest cycle type of any column.
     """
     if n == 1:
         return [((0,),)]
     search = _ColumnSearch(n)
     if first_columns is None:
-        first_columns = search.candidates[0]
-    tables = [t for first in first_columns for t in search.run(first)]
+        tables = search.run()
+    else:
+        tables = [t for first in first_columns for t in search.run(first, _cycle_type(first))]
     tables.sort()
     return tables
 
@@ -190,9 +230,9 @@ def enumerate_all(n: int) -> Census:
     """Census of all quandles of order n up to isomorphism.
 
     Searches only the labelings whose column 0 is a cycle-type
-    representative, validates each, and computes one canonical form per
-    class.  The default bound of 6 follows QUANDLE_MAX_ORDER; order 7
-    searches 49069 labelings.
+    representative of the largest type in the table, validates each, and
+    computes one canonical form per class.  The default bound of 6 follows
+    QUANDLE_MAX_ORDER; order 7 searches 1405 labelings.
     """
     if n < 1:
         raise ValueError("order must be at least 1")

@@ -240,12 +240,8 @@ class Quandle:
     def is_automorphism(self, sigma: Permutation) -> bool:
         if sigma.degree != self.order:
             return False
-        t = self.table
-        return all(
-            sigma(t[x][y]) == t[sigma(x)][sigma(y)]
-            for x in range(self.order)
-            for y in range(self.order)
-        )
+        t, s, n = self.table, sigma.images, self.order
+        return all(s[t[x][y]] == t[s[x]][s[y]] for x in range(n) for y in range(n))
 
     def automorphism_group(self) -> PermGroup:
         """All relabelings fixing the table: the isomorphism search onto itself.

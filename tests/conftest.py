@@ -63,7 +63,7 @@ def censuses() -> CensusStore:
 
 @pytest.fixture(scope="session")
 def census_7():
-    """The order-7 brute-force census (about 30 s), built once per session."""
+    """The order-7 brute-force census, built once per session."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("QUANDLE_MAX_ORDER", "7")
         return enumerate_all(7)

@@ -110,6 +110,21 @@ class TestValidation:
             validate_gamma_hom(trivial_quandle(2), q3, (bad, bad))
         assert info.value.x == 0
 
+    def test_each_distinct_image_tested_once(self, q3, monkeypatch):
+        # Images that commute satisfy a trivial source's relations, so only
+        # the automorphism scan can fail, at the first x with the bad image.
+        tested = []
+        original = Quandle.is_automorphism
+        monkeypatch.setattr(
+            Quandle, "is_automorphism", lambda q, p: tested.append(p) or original(q, p)
+        )
+        identity, bad = Permutation.identity(3), perm((0, 2), degree=3)
+        hom = GammaHom(trivial_quandle(5), q3, (identity, identity, bad, identity, bad))
+        with pytest.raises(NotAnAutomorphismError) as info:
+            check_gamma_hom(hom)
+        assert info.value.x == 2
+        assert tested == [identity, bad]
+
     def test_relations_checked_before_images(self, t3, q3):
         # this assignment breaks both; the relation must win the race
         assignment = (perm((0, 2), degree=3), Permutation.identity(3), Permutation.identity(3))

@@ -8,10 +8,12 @@ column search must reproduce that set exactly.
 
 from __future__ import annotations
 
+import ast
 import itertools
 
 import pytest
 
+from quandles import oracle
 from quandles.oracle import (
     Census,
     _ColumnSearch,
@@ -41,6 +43,26 @@ def all_tables_filtered(n):
         if is_quandle_table(rows):
             found.append(rows)
     return found
+
+
+def test_oracle_imports_no_group_machinery():
+    # The brute force is the reference for the structure route, so within
+    # the package it may import only config and the quandle axioms.
+    with open(oracle.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level > 0:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            modules.update(f"quandles.{name}" for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    package = {m.split(".")[1] for m in modules if m.startswith("quandles.")}
+    assert "quandles" not in modules
+    assert package <= {"config", "quandle"}
+    assert "quandle" in package
 
 
 class TestLabeledTables:
@@ -89,6 +111,45 @@ class TestCycleTypePinning:
         # straightforward reference the census must reproduce.
         reference = sorted({Quandle(t).canonical_form().table for t in labeled_tables(n)})
         assert [q.table for q in enumerate_all(n).tables] == reference
+
+
+def _type_rank(images):
+    """A column's cycle type as a partition of n, largest part first."""
+    return tuple(sorted(Permutation(images).cycle_type(), reverse=True))
+
+
+class TestMaxTypePin:
+    """Column 0 is pinned to a representative of the largest cycle type."""
+
+    # Leaves of labeled_tables(n, _cycle_type_columns(n)) for n = 1..6.
+    LEAF_COUNTS = {1: 1, 2: 1, 3: 3, 4: 7, 5: 33, 6: 181}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pinned_leaves_are_the_max_type_labelings(self, n):
+        # Filter the exhaustive reference by the pin's definition.
+        reps = set(_cycle_type_columns(n))
+        expected = [
+            t for t in labeled_tables(n)
+            if (first := tuple(row[0] for row in t)) in reps
+            and all(_type_rank(col) <= _type_rank(first) for col in zip(*t))
+        ]
+        assert labeled_tables(n, _cycle_type_columns(n)) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_no_column_outranks_column_0(self, n):
+        for table in labeled_tables(n, _cycle_type_columns(n)):
+            columns = list(zip(*table))
+            assert max(map(_type_rank, columns)) == _type_rank(columns[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_identity_pin_yields_only_the_trivial_table(self, n):
+        identity = tuple(range(n))
+        trivial = tuple(tuple(x for _ in range(n)) for x in range(n))
+        assert labeled_tables(n, [identity]) == [trivial]
+
+    @pytest.mark.parametrize("n,count", sorted(LEAF_COUNTS.items()))
+    def test_leaf_counts_frozen(self, n, count):
+        assert len(labeled_tables(n, _cycle_type_columns(n))) == count
 
 
 class TestCensus:

@@ -256,6 +256,14 @@ def automorphism_oracle(q):
 
 
 class TestAutomorphisms:
+    def test_is_automorphism_means_the_relabeling_fixes_the_table(self, censuses):
+        for n in range(1, 5):
+            for q in censuses.brute(n).tables:
+                for images in itertools.permutations(range(n)):
+                    sigma = Permutation(images)
+                    assert q.is_automorphism(sigma) == (q.relabel(sigma) == q)
+        assert not trivial_quandle(2).is_automorphism(Permutation.identity(3))
+
     def test_trivial_quandle_full_symmetric(self):
         assert len(trivial_quandle(4).automorphism_group()) == 24
         assert len(trivial_quandle(1).automorphism_group()) == 1
