@@ -168,18 +168,17 @@ def mesh_to_obj(mesh: Mesh) -> dict:
 
 
 def mesh_from_obj(obj: Any) -> Mesh:
-    """Parse and fully validate a mesh; diagonal entries may be null."""
+    """Parse and fully validate a mesh; diagonal entries may be null.
+
+    Shape errors are FormatError; a block that breaks an axiom raises the
+    Quandle constructor's ValueError, and a hom or mesh that breaks its
+    conditions raises HomError or MeshError.
+    """
     _require(isinstance(obj, dict), "mesh must be an object")
     blocks_obj = obj.get("blocks")
     homs_obj = obj.get("homs")
     _require(isinstance(blocks_obj, list) and blocks_obj, "mesh needs a nonempty 'blocks' list")
-    blocks = []
-    for item in blocks_obj:
-        table = table_from_obj(item)
-        try:
-            blocks.append(Quandle(table))
-        except ValueError as exc:
-            raise FormatError(f"mesh block is not a quandle: {exc}") from None
+    blocks = [Quandle(table_from_obj(item)) for item in blocks_obj]
     k = len(blocks)
     _require(isinstance(homs_obj, list) and len(homs_obj) == k
              and all(isinstance(row, list) and len(row) == k for row in homs_obj),

@@ -22,11 +22,12 @@ column has a larger type.  With S_0 of type tau pinned, every other point
 is offered only candidate columns of type at most tau.  Forced columns need
 no filter: S_{b > c} is a conjugate of S_b, so it has S_b's type.  The
 identity pin then yields only the trivial quandle (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998).  Each leaf is validated;
-the first leaf of a class is reduced to canonical form and every
-relabeling of it is marked seen, so later leaves of that class are
-recognized without another canonical form (isomorph rejection by orbit
-marking).
+exhaustive generation", J. Algorithms 26, 1998).  Each leaf is validated
+and put in a bucket keyed by the sorted cycle types of its columns, an
+isomorphism invariant.  A leaf is a new class unless the isomorphism
+search maps a class already in its bucket onto it (isomorph rejection by
+testing against the known classes); each class is reduced to canonical
+form once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 
 from .config import BoundError, resolve_bound
-from .quandle import Quandle, _relabelings_flat
+from .quandle import Quandle
 
 __all__ = ["Census", "enumerate_all", "count_connected"]
 
@@ -230,8 +231,10 @@ def enumerate_all(n: int) -> Census:
     """Census of all quandles of order n up to isomorphism.
 
     Searches only the labelings whose column 0 is a cycle-type
-    representative of the largest type in the table, validates each, and
-    computes one canonical form per class.  The default bound of 6 follows
+    representative of the largest type in the table and validates each.
+    Labelings are bucketed by the sorted cycle types of their columns, and
+    one is kept unless it is isomorphic to a class already in its bucket;
+    each class gets one canonical form.  The default bound of 6 follows
     QUANDLE_MAX_ORDER; order 7 searches 1405 labelings.
     """
     if n < 1:
@@ -239,17 +242,13 @@ def enumerate_all(n: int) -> Census:
     bound = resolve_bound(6)
     if n > bound:
         raise BoundError(f"order {n} exceeds the configured bound {bound}")
-    # Row-major entries as bytes: the encoding of the int8 rows that
-    # _relabelings_flat returns.
-    seen: set[bytes] = set()
-    classes: list[Quandle] = []
+    buckets: dict[tuple[tuple[int, ...], ...], list[Quandle]] = {}
     for table in labeled_tables(n, _cycle_type_columns(n)):
         q = Quandle(table)
-        if bytes(v for row in table for v in row) in seen:
-            continue
-        classes.append(q.canonical_form())
-        flat = _relabelings_flat(q.table)
-        seen.update(row.tobytes() for row in flat)
+        bucket = buckets.setdefault(tuple(sorted(map(_cycle_type, zip(*table)))), [])
+        if not any(known.is_isomorphic(q) for known in bucket):
+            bucket.append(q)
+    classes = [q.canonical_form() for bucket in buckets.values() for q in bucket]
     tables = tuple(sorted(classes, key=lambda q: q.table))
     flags = tuple(q.is_connected() for q in tables)
     return Census(n, tables, flags)

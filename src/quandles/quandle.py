@@ -15,9 +15,8 @@ symmetries is the inner group; its orbits partition the quandle, and the
 quandle is connected when there is one orbit.
 
 Canonical forms relabel by all of S_n at once in numpy, reading the
-permutations from the cached S_n index of the perm module, which keeps
-order 6 censuses (tens of thousands of tables) cheap.  Isomorphisms and
-automorphisms come from one backtracking search over point images.
+permutations from the cached S_n index of the perm module.  Isomorphisms
+and automorphisms come from one backtracking search over point images.
 """
 
 from __future__ import annotations
@@ -264,13 +263,20 @@ class Quandle:
         return self._cache["canon"]
 
     def is_isomorphic(self, other: "Quandle") -> bool:
-        if self.order != other.order:
-            return False
-        return self.canonical_form() == other.canonical_form()
+        return self.find_isomorphism(other) is not None
 
     def find_isomorphism(self, other: "Quandle") -> Permutation | None:
         """Lexicographically least sigma with other == self.relabel(sigma), or None."""
         return next(self._isomorphisms(other), None)
+
+    def _signatures(self) -> list[tuple]:
+        """Each point's isomorphism invariants: its symmetry's cycle type, its orbit size."""
+        if "signatures" not in self._cache:
+            orbit_sizes = {p: len(orb) for orb in self.orbits() for p in orb}
+            self._cache["signatures"] = [
+                (self.symmetry(x).cycle_type(), orbit_sizes[x]) for x in range(self.order)
+            ]
+        return self._cache["signatures"]
 
     def _isomorphisms(self, other: "Quandle") -> Iterator[Permutation]:
         """Every sigma with other == self.relabel(sigma), in lexicographic order.
@@ -283,13 +289,8 @@ class Quandle:
         if self.order != other.order:
             return
         n = self.order
-
-        def signatures(q: "Quandle") -> list[tuple]:
-            orbit_sizes = {p: len(orb) for orb in q.orbits() for p in orb}
-            return [(q.symmetry(x).cycle_type(), orbit_sizes[x]) for x in range(n)]
-
-        sig_self = signatures(self)
-        sig_other = signatures(other)
+        sig_self = self._signatures()
+        sig_other = other._signatures()
         if sorted(sig_self) != sorted(sig_other):
             return
         t, u = self.table, other.table
@@ -317,30 +318,18 @@ class Quandle:
         yield from extend(0)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized relabeling over the S_n index, shared by canonical forms and
-# the oracle's class dedup.
-# ---------------------------------------------------------------------------
+def _canonical_table(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Least of the n! relabeled tables, compared in row-major order.
 
-
-def _relabelings_flat(table: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """All n! relabeled tables, flattened to rows of length n*n.
-
-    Row p holds the table of relabel(perms[p]) in row-major order, perms
-    being the image rows of the S_n index.
+    Row p of flat holds the table of relabel(perms[p]) in row-major order,
+    perms being the image rows of the S_n index.
     """
     n = len(table)
     idx = _sym_index(n)
     perms, invs = idx.arr, idx.inverse_rows
     t = np.array(table, dtype=np.int8)
     mid = t[invs[:, :, None], invs[:, None, :]]
-    relabeled = perms[np.arange(len(perms))[:, None, None], mid]
-    return relabeled.reshape(len(perms), n * n)
-
-
-def _canonical_table(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    flat = _relabelings_flat(table)
-    n = len(table)
+    flat = perms[np.arange(len(perms))[:, None, None], mid].reshape(len(perms), n * n)
     live = np.arange(flat.shape[0])
     for col in range(n * n):
         values = flat[live, col]

@@ -208,6 +208,17 @@ class TestDecomposeCompose:
         code, _, err = run(capsys, "compose", str(mesh_path))
         assert code == 1
 
+    def test_block_breaking_an_axiom_is_negative(self, capsys, tmp_path):
+        # The same table exits 1 under info; a mesh block is no different.
+        mesh_path = tmp_path / "mesh.json"
+        mesh_path.write_text(json.dumps(
+            {"blocks": [{"order": 2, "table": [[0, 0], [0, 1]]}], "homs": [[None]]}
+        ))
+        code, out, err = run(capsys, "compose", str(mesh_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: not a quandle: ")
+
     def test_decompose_tree_gives_tree_json(self, capsys, tmp_path, q3):
         source = write_quandle(tmp_path / "q3.json", q3)
         code, out, _ = run(capsys, "decompose", source, "--tree")

@@ -157,8 +157,10 @@ class TestMeshIO:
             "blocks": [{"order": 2, "table": [[1, 0], [0, 1]]}],
             "homs": [[None]],
         }
-        with pytest.raises(FormatError):
+        # An axiom violation is invalid math, not a malformed file.
+        with pytest.raises(ValueError, match="^not a quandle: ") as info:
             mesh_from_obj(obj)
+        assert not isinstance(info.value, FormatError)
 
     def test_mesh_conditions_still_enforced(self, t3):
         t2 = trivial_quandle(2)

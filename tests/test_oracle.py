@@ -112,6 +112,13 @@ class TestCycleTypePinning:
         reference = sorted({Quandle(t).canonical_form().table for t in labeled_tables(n)})
         assert [q.table for q in enumerate_all(n).tables] == reference
 
+    def test_order_6_classes_match_canonical_form_of_every_pinned_labeling(self):
+        # The isomorphism-test dedup against one canonical form per pinned
+        # labeling, at an order where buckets hold several classes.
+        pinned = labeled_tables(6, _cycle_type_columns(6))
+        reference = sorted({Quandle(t).canonical_form().table for t in pinned})
+        assert [q.table for q in enumerate_all(6).tables] == reference
+
 
 def _type_rank(images):
     """A column's cycle type as a partition of n, largest part first."""

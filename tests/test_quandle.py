@@ -334,6 +334,13 @@ class TestIsomorphism:
     def test_different_orders(self, t3):
         assert t3.find_isomorphism(trivial_quandle(4)) is None
 
+    def test_is_isomorphic_has_no_order_bound(self):
+        # Canonical forms need the S_n index, bounded at order 8; the
+        # isomorphism search does not.
+        d9 = dihedral_quandle(9)
+        assert d9.is_isomorphic(d9.relabel(Permutation((*range(1, 9), 0))))
+        assert not d9.is_isomorphic(trivial_quandle(9))
+
     def test_witness_is_lexicographically_least(self, censuses):
         shuffle = perm((0, 1), (2, 3), degree=4)
         for q in censuses.brute(4).tables:
