@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 
 from .config import BoundError, resolve_bound
-from .quandle import Quandle
+from .quandle import Quandle, _cycle_type
 
 __all__ = ["Census", "enumerate_all", "count_connected"]
 
@@ -72,22 +72,6 @@ def _column_candidates(n: int) -> list[list[tuple[int, ...]]]:
             if images[y] == y:
                 out[y].append(images)
     return out
-
-
-def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle lengths of the permutation with these images, largest first."""
-    seen = [False] * len(images)
-    lengths = []
-    for start in range(len(images)):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 class _ColumnSearch:

@@ -10,8 +10,8 @@ Groups carry their full element sets.  That is deliberate: the library
 targets degrees up to about 7 (|S_7| = 5040), where exhaustive
 representations are simpler to audit than stabilizer chains and still fast.
 The conjugacy-class search over subgroups is the one genuinely heavy
-operation; it runs on a vectorized index of S_n (see _SymmetricIndex),
-the same cached index that quandle relabels tables by.
+operation; it runs on a cached, vectorized index of S_n (see
+_SymmetricIndex), which nothing else in the package uses.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class PermGroup:
 
 @lru_cache(maxsize=None)
 def _sym_index(n: int) -> "_SymmetricIndex":
-    """The shared index of S_n; degrees above HARD_MAX_ORDER are refused."""
+    """The index of S_n for the subgroup search; degrees above HARD_MAX_ORDER are refused."""
     if n > HARD_MAX_ORDER:
         raise BoundError(f"order {n} exceeds the hard bound {HARD_MAX_ORDER}")
     return _SymmetricIndex(n)

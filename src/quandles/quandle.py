@@ -14,21 +14,39 @@ each other the way their base points act.  The group generated by all
 symmetries is the inner group; its orbits partition the quandle, and the
 quandle is connected when there is one orbit.
 
-Canonical forms relabel by all of S_n at once in numpy, reading the
-permutations from the cached S_n index of the perm module.  Isomorphisms
-and automorphisms come from one backtracking search over point images.
+The canonical form is the least relabeled table, compared in row-major
+order, found by branch and bound over lazily assigned labels.
+
+- Constant rows come first.  A point with x > y = x for every y is a
+  singleton orbit, and its row is constant.  Symmetries fix singletons,
+  so x > y is a singleton only when x is.  If labels 0..i-1 belong to
+  singletons, every cell of row i is therefore at least i: a singleton
+  at label i makes the row all i, and any other point puts a cell above
+  i.  So the s singletons take labels 0..s-1, and rows 0..s-1 are fixed.
+- The search starts at row s.  Its point branches over the other points.
+  Read left to right, column j's point comes from its pool (singletons
+  for j < s, the others for j >= s), and only the choices that give the
+  least cell value are kept.  A cell value with no label yet takes the
+  next free label of its pool, the least it can take, so that label is
+  forced.  Row s needs every column's point, so it fixes the labelling;
+  the later rows only decide between branches.
+- Points whose transposition is an automorphism are twins.  Twins give
+  equal tables, so one per twin class is tried.
+- A branch stops as soon as its prefix exceeds the best table so far.
+
+Isomorphisms and automorphisms come from one backtracking search over
+point images.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .config import HARD_MAX_ORDER, BoundError, ensure
-from .perm import PermGroup, Permutation, _as_point, _sym_index, generate_group
+from .perm import PermGroup, Permutation, _as_point, generate_group
 
 __all__ = [
     "Quandle",
@@ -102,7 +120,8 @@ def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
         if len(row) != n:
             raise ValueError(f"row {x} has length {len(row)}, expected {n}")
         for y, value in enumerate(row):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            # int first: it skips the slower abstract-class check for plain ints.
+            if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool):
                 violations.append(RangeViolation(x, y, value))
             elif not 0 <= value < n:
                 violations.append(RangeViolation(x, y, int(value)))
@@ -259,7 +278,7 @@ class Quandle:
     def canonical_form(self) -> "Quandle":
         """Least table among all relabelings; equal iff isomorphic."""
         if "canon" not in self._cache:
-            self._cache["canon"] = Quandle(_canonical_table(self.table))
+            self._cache["canon"] = Quandle(_canonical_table(self.table, self._twin_classes()))
         return self._cache["canon"]
 
     def is_isomorphic(self, other: "Quandle") -> bool:
@@ -274,9 +293,23 @@ class Quandle:
         if "signatures" not in self._cache:
             orbit_sizes = {p: len(orb) for orb in self.orbits() for p in orb}
             self._cache["signatures"] = [
-                (self.symmetry(x).cycle_type(), orbit_sizes[x]) for x in range(self.order)
+                (_cycle_type(column), orbit_sizes[x]) for x, column in enumerate(zip(*self.table))
             ]
         return self._cache["signatures"]
+
+    def _twin_classes(self) -> list[int]:
+        """For each point x, the least point whose transposition with x is an automorphism.
+
+        Twins form classes: if (a b) and (b c) are automorphisms, so is their
+        conjugate (a c).  Only points with equal signatures can be twins.
+        """
+        n, sig = self.order, self._signatures()
+        twin = list(range(n))
+        for a, b in itertools.combinations(range(n), 2):
+            if twin[a] == a and twin[b] == b and sig[a] == sig[b]:
+                if self.is_automorphism(Permutation.from_cycles(n, (a, b))):
+                    twin[b] = a
+        return twin
 
     def _isomorphisms(self, other: "Quandle") -> Iterator[Permutation]:
         """Every sigma with other == self.relabel(sigma), in lexicographic order.
@@ -318,26 +351,111 @@ class Quandle:
         yield from extend(0)
 
 
-def _canonical_table(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Least of the n! relabeled tables, compared in row-major order.
+def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of the permutation with these images, largest first."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
-    Row p of flat holds the table of relabel(perms[p]) in row-major order,
-    perms being the image rows of the S_n index.
+
+def _canonical_table(
+    table: tuple[tuple[int, ...], ...], twin: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Least relabeled table in row-major order, by the search in the module docstring.
+
+    twin[x] names the twin class of x.  label maps points to labels and
+    point maps labels back; -1 is unlabelled.  Labels are handed out in
+    order within each pool, so the next free label of the non-singleton
+    pool is nxt, and a column j >= s without a point has j == nxt.  The
+    search fills cells, row s so far, and keeps rows s..n-1 of the least
+    table found in best.
     """
     n = len(table)
-    idx = _sym_index(n)
-    perms, invs = idx.arr, idx.inverse_rows
-    t = np.array(table, dtype=np.int8)
-    mid = t[invs[:, :, None], invs[:, None, :]]
-    flat = perms[np.arange(len(perms))[:, None, None], mid].reshape(len(perms), n * n)
-    live = np.arange(flat.shape[0])
-    for col in range(n * n):
-        values = flat[live, col]
-        live = live[values == values.min()]
-        if live.size == 1:
-            break
-    best = flat[live[0]].reshape(n, n)
-    return tuple(tuple(int(v) for v in row) for row in best)
+    singles = [x for x in range(n) if table[x].count(x) == n]
+    others = [x for x in range(n) if table[x].count(x) < n]
+    s = len(singles)
+    label = [-1] * n
+    point = [-1] * n
+    cells: list[int] = []
+    best: list[tuple[int, ...]] | None = None
+    nxt = s
+
+    def one_per_twin_class(points: list[int]) -> list[int]:
+        firsts: dict[int, int] = {}
+        for x in points:
+            firsts.setdefault(twin[x], x)
+        return list(firsts.values())
+
+    def finish(tight: bool) -> None:
+        # All labels are set; tight means row s equals the best's row s.
+        nonlocal best
+        rows = [tuple(cells)]
+        for i in range(s + 1, n):
+            source = table[point[i]]
+            row = tuple([label[source[y]] for y in point])
+            if tight:
+                if row > best[i - s]:
+                    return
+                tight = row == best[i - s]
+            rows.append(row)
+        if not tight:
+            best = rows
+
+    def extend(j: int, tight: bool) -> None:
+        # Cell (s, j); tight means cells equals the best's row s so far.
+        nonlocal nxt
+        if j == n:
+            finish(tight)
+            return
+        source = table[point[s]]
+        if point[j] >= 0:
+            choices = [point[j]]
+        else:
+            free = [y for y in (singles if j < s else others) if label[y] < 0]
+            # An unlabelled value would take a label above all given ones.
+            values = [label[source[y]] if label[source[y]] >= 0 else n for y in free]
+            least = min(values)
+            choices = one_per_twin_class([y for y, v in zip(free, values) if v == least])
+        for y in choices:
+            start = nxt
+            labelled = []
+            for p in (y, source[y]):
+                if label[p] < 0:
+                    lab = j if p == y else nxt
+                    label[p], point[lab] = lab, p
+                    labelled.append(p)
+                    if lab == nxt:
+                        nxt += 1
+            value = label[source[y]]
+            if not (tight and value > best[0][j]):
+                held = best
+                cells.append(value)
+                extend(j + 1, tight and value == best[0][j])
+                cells.pop()
+                # The choices tie at this cell, so a new best found under one
+                # of them shares the prefix the later choices compare against.
+                if best is not held:
+                    tight = True
+            for p in labelled:
+                point[label[p]] = -1
+                label[p] = -1
+            nxt = start
+
+    for x in one_per_twin_class(others):
+        label[x], point[s] = s, x
+        nxt = s + 1
+        extend(0, best is not None)
+        label[x] = point[s] = -1
+    return tuple((i,) * n for i in range(s)) + tuple(best or ())
 
 
 def trivial_quandle(n: int) -> Quandle:

@@ -3,7 +3,8 @@
 The fixture of record is the order-3 connected quandle T3 with table rows
 (0,2,1), (2,1,0), (1,0,2); its symmetries, inner group, and automorphism
 group are pinned by hand.  Oracles for the derived facts (orbit closure,
-exhaustive automorphism filters, witness sets) are local to this file.
+exhaustive automorphism filters, witness sets, the least of all n!
+relabeled tables) are local to this file.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ class TestValidation:
                 Quandle(table)
         q = Quandle(np.array([[0, 0], [1, 1]], dtype=np.int8))
         assert q.table == ((0, 0), (1, 1)) and type(q.table[1][0]) is int
+
+    def test_numpy_entries(self):
+        # numpy ints are integers and become ints; numpy floats and bools are not.
+        q = Quandle([[np.int64(0), np.int64(0)], [np.int64(1), np.int64(1)]])
+        assert q.table == ((0, 0), (1, 1)) and type(q.table[0][1]) is int
+        for value in (np.float64(1.0), np.bool_(True)):
+            assert axiom_violations([[0, value], [1, 1]]) == [RangeViolation(0, 1, value)]
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
@@ -255,6 +263,79 @@ def automorphism_oracle(q):
     return sorted(out)
 
 
+def least_relabeling(table):
+    """Least of the n! relabeled tables in row-major order: the exhaustive reference.
+
+    Row p of flat holds the table relabeled by the p-th permutation of S_n
+    in row-major order, new[sigma(x)][sigma(y)] = sigma(old[x][y]); columns
+    are then filtered left to right down to the rows with the least value.
+    """
+    n = len(table)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    invs = np.argsort(perms, axis=1)
+    t = np.array(table, dtype=np.int8)
+    mid = t[invs[:, :, None], invs[:, None, :]]
+    flat = perms[np.arange(len(perms))[:, None, None], mid].reshape(len(perms), n * n)
+    live = np.arange(len(flat))
+    for col in range(n * n):
+        values = flat[live, col]
+        live = live[values == values.min()]
+    return tuple(map(tuple, flat[live[0]].reshape(n, n).tolist()))
+
+
+def glued_table():
+    """A dihedral block 0..3 and a trivial block 4..7; 6 and 7 act on 0..3 by x -> x + 2."""
+    d4 = dihedral_quandle(4).table
+    return [
+        [d4[x][y] if y < 4 else x if y < 6 else (x + 2) % 4 for y in range(8)]
+        for x in range(4)
+    ] + [[x] * 8 for x in range(4, 8)]
+
+
+def _seeded_relabeling(q, rng):
+    return q.relabel(Permutation(tuple(rng.sample(range(q.order), q.order))))
+
+
+class TestCanonicalForm:
+    def test_matches_exhaustive_reference(self, censuses):
+        rng = random.Random(11)
+        for n in range(1, 7):
+            for canon in censuses.brute(n).tables:
+                for _ in range(3):
+                    r = _seeded_relabeling(canon, rng)
+                    assert r.canonical_form().table == least_relabeling(r.table) == canon.table
+
+    @pytest.mark.slow
+    def test_matches_exhaustive_reference_at_order_7(self, census_7):
+        rng = random.Random(12)
+        for canon in census_7.tables:
+            r = _seeded_relabeling(canon, rng)
+            assert r.canonical_form().table == least_relabeling(r.table) == canon.table
+
+    @pytest.mark.parametrize(
+        "q",
+        [trivial_quandle(8), dihedral_quandle(8), Quandle(glued_table())],
+        ids=["trivial", "dihedral", "glued"],
+    )
+    def test_twins_and_constant_rows_at_order_8(self, q):
+        # Many twins (points whose transposition is an automorphism) and
+        # constant rows: the cases the search prunes hardest.
+        r = _seeded_relabeling(q, random.Random(13))
+        assert r.canonical_form().table == q.canonical_form().table == least_relabeling(r.table)
+
+    def test_glued_table_twins(self):
+        assert Quandle(glued_table())._twin_classes() == [0, 1, 0, 1, 4, 4, 6, 6]
+
+    def test_no_order_bound(self):
+        # The S_n index stops at order 8; the canonical-form search does not use it.
+        assert trivial_quandle(10).canonical_form() == trivial_quandle(10)
+        d9 = dihedral_quandle(9)
+        r = _seeded_relabeling(d9, random.Random(14))
+        assert r != d9
+        assert r.canonical_form() == d9.canonical_form()
+        assert d9.canonical_form().is_isomorphic(d9)
+
+
 class TestAutomorphisms:
     def test_is_automorphism_means_the_relabeling_fixes_the_table(self, censuses):
         for n in range(1, 5):
@@ -335,8 +416,7 @@ class TestIsomorphism:
         assert t3.find_isomorphism(trivial_quandle(4)) is None
 
     def test_is_isomorphic_has_no_order_bound(self):
-        # Canonical forms need the S_n index, bounded at order 8; the
-        # isomorphism search does not.
+        # The S_n index stops at order 8; the isomorphism search does not use it.
         d9 = dihedral_quandle(9)
         assert d9.is_isomorphic(d9.relabel(Permutation((*range(1, 9), 0))))
         assert not d9.is_isomorphic(trivial_quandle(9))
