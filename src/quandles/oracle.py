@@ -232,7 +232,10 @@ def enumerate_all(n: int) -> Census:
         bucket = buckets.setdefault(tuple(sorted(map(_cycle_type, zip(*table)))), [])
         if not any(known.is_isomorphic(q) for known in bucket):
             bucket.append(q)
-    classes = [q.canonical_form() for bucket in buckets.values() for q in bucket]
-    tables = tuple(sorted(classes, key=lambda q: q.table))
-    flags = tuple(q.is_connected() for q in tables)
-    return Census(n, tables, flags)
+    # Each flag is read off the representative, whose orbits the canonical
+    # form's twin test has already computed.
+    classes = [
+        (q.canonical_form(), q.is_connected()) for bucket in buckets.values() for q in bucket
+    ]
+    classes.sort(key=lambda pair: pair[0].table)
+    return Census(n, tuple(q for q, _ in classes), tuple(flag for _, flag in classes))

@@ -328,9 +328,11 @@ class _SymmetricIndex:
     def closure(self, generators: Iterable[int], start: np.ndarray | None = None) -> np.ndarray:
         """Sorted element indices of the subgroup generated.
 
-        start, when given, holds elements of the group generated, the
-        identity among them (say the parent of a cyclic extension); the
+        start, when given, holds distinct elements of the group generated,
+        the identity among them (say the parent of a cyclic extension); the
         search then grows from all of them instead of the identity alone.
+        By Lagrange only S_n itself has more than n!/2 elements, so the
+        search stops and returns all of S_n as soon as it has seen that many.
         """
         gens = sorted({int(g) for g in generators})
         frontier = np.array([self.identity], dtype=np.int64) if start is None else start
@@ -342,12 +344,16 @@ class _SymmetricIndex:
         # offsets pick generator j's row out of the flattened rows.
         gen_flat = self.arr[gens].reshape(-1)
         offsets = (np.arange(len(gens)) * self.n)[:, None, None]
+        count = frontier.size
         while frontier.size:
+            if 2 * count > self.size:
+                return np.arange(self.size)
             fresh = np.zeros(self.size, dtype=bool)
             fresh[self.lookup(gen_flat[offsets + self.arr[frontier]])] = True
             fresh &= ~seen
             seen |= fresh
             frontier = fresh.nonzero()[0]
+            count += frontier.size
         return np.flatnonzero(seen)
 
     def orbit_minima(self, maps: Sequence[np.ndarray]) -> np.ndarray:
@@ -365,17 +371,43 @@ class _SymmetricIndex:
             if np.array_equal(label, before):
                 return np.flatnonzero(label == np.arange(self.size))
 
+    @cached_property
+    def power_maps(self) -> tuple[np.ndarray, ...]:
+        """Index maps x -> x^k, one per k in a generating set of the units mod e.
+
+        e = lcm(1..n) is the exponent of S_n, so each k is prime to the
+        order of every x and x -> x^k is a bijection of S_n.  x^k comes from
+        square-and-multiply on the image rows.
+        """
+        identity = np.broadcast_to(np.arange(self.n, dtype=np.int8), self.arr.shape)
+        maps = []
+        for k in _unit_generators(math.lcm(*range(1, self.n + 1))):
+            power, square = identity, self.arr
+            while k:
+                if k & 1:
+                    power = np.take_along_axis(square, power, axis=1)
+                k >>= 1
+                if k:
+                    square = np.take_along_axis(square, square, axis=1)
+            maps.append(self.lookup(power))
+        return tuple(maps)
+
     def extension_reps(self, subgroup_gens: Sequence[int], normalizer: np.ndarray) -> np.ndarray:
         """One element g per class of cyclic extensions <H, g>, H left out.
 
         <H, g> depends only on the double coset H g H, and conjugating g by
-        c in the normalizer N(H) conjugates <H, g> by c.  So the least
-        element of each orbit of x -> h x and x -> c x c^-1 (h in H, c in
-        N(H)) is enough; H itself is the orbit of the identity.
+        c in the normalizer N(H) conjugates <H, g> by c.  It also depends
+        only on the cyclic subgroup <g>: for k prime to the exponent of S_n,
+        k is prime to the order of g, so <g^k> = <g> and <H, g^k> = <H, g>.
+        So the least element of each orbit of x -> h x, x -> c x c^-1 and
+        x -> x^k (h in H, c in N(H), k from power_maps) is enough.  Each map
+        is a bijection of S_n that maps H onto H, so H itself is still
+        exactly the orbit of the identity; g and g^-1 share one orbit.
         """
         maps = [self.lookup(self.arr[h][self.arr]) for h in subgroup_gens]
         for c in self.greedy_generators(normalizer):
             maps.append(self.lookup(self.arr[c][self.arr[:, self.inverse_rows[c]]]))
+        maps.extend(self.power_maps)
         return self.orbit_minima(maps)[1:]
 
     def canonical_subgroup(
@@ -432,6 +464,21 @@ class _SymmetricIndex:
         return tuple(gens)
 
 
+def _unit_generators(modulus: int) -> list[int]:
+    """Generators of the units mod modulus: scan upward, keep what extends."""
+    gens: list[int] = []
+    reached = {1}
+    for k in range(2, modulus):
+        if math.gcd(k, modulus) == 1 and k not in reached:
+            gens.append(k)
+            grown, power = set(reached), k
+            while power != 1:  # the units commute: <reached, k> = reached * <k>
+                grown |= {r * power % modulus for r in reached}
+                power = power * k % modulus
+            reached = grown
+    return gens
+
+
 # Indices below 65536 cover S_n up to HARD_MAX_ORDER = 8 (8! = 40320).
 _KEY_DTYPE = np.dtype(">u2")
 
@@ -447,12 +494,12 @@ def _subgroup_classes(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], 
 
     Entries are (elements, generators) index tuples, elements being the
     lexicographically least conjugate in the class, sorted by (order,
-    elements).  Search (cyclic extension): extend each class
-    representative H by one new element g, one per N(H)-orbit of H-double
-    cosets (extension_reps), and close, growing the closure from H.  The
-    keys of every conjugate of every class found so far form one set, so a
-    closure outside it is a new class, and each class is canonicalized
-    exactly once.
+    elements).  Search (cyclic extension, Neubueser 1960): extend each
+    class representative H by one new element g, one per orbit of H-double
+    cosets under N(H) and the power maps (extension_reps), and close,
+    growing the closure from H.  The keys of every conjugate of every class
+    found so far form one set, so a closure outside it is a new class, and
+    each class is canonicalized exactly once.
     """
     idx = _sym_index(n)
     classes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -501,7 +548,7 @@ def transitive_subgroups_up_to_conjugacy(n: int) -> list[PermGroup]:
     Each representative is the lexicographically least conjugate of its
     class and the list is sorted by (order, element list), so the result is
     fully deterministic.  The first call for a degree runs the subgroup-class
-    search (about 0.2 s at degree 6 and 2 s at degree 7 on 2 vCPUs); later
+    search (about 0.15 s at degree 6 and 1 s at degree 7 on 2 vCPUs); later
     calls reuse its cached result.
     The degree bound defaults to 7 and follows QUANDLE_MAX_ORDER.
     """

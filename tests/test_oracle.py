@@ -13,7 +13,7 @@ import itertools
 
 import pytest
 
-from quandles import oracle
+from quandles import oracle, quandle
 from quandles.oracle import (
     Census,
     _ColumnSearch,
@@ -192,6 +192,21 @@ class TestCensus:
 
     def test_deterministic(self):
         assert enumerate_all(4) == enumerate_all(4)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_at_most_one_inner_group_per_labeled_table(self, n, monkeypatch):
+        # The connectivity flags come from the class representatives, whose
+        # orbits are already known, not from a second closure per class.
+        calls = []
+        original = quandle.generate_group
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(quandle, "generate_group", counted)
+        enumerate_all(n)
+        assert len(calls) <= len(labeled_tables(n, _cycle_type_columns(n)))
 
     def test_parallel_flags_required(self, trivial4):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from quandles.perm import (
     generate_group,
     transitive_subgroups_up_to_conjugacy,
 )
-from quandles.perm import _subgroup_classes, _sym_index, _SymmetricIndex
+from quandles.perm import _subgroup_classes, _sym_index, _SymmetricIndex, _unit_generators
 
 
 def perm(*cycles, degree):
@@ -327,6 +327,11 @@ class TestTransitiveSubgroups:
     @pytest.mark.parametrize("n, digest", [
         (5, "d3fc4cd6a628e096ccc82125e9f1d54f13aad70cc8ab6d000e9ddaed809f4482"),
         (6, "09c5cc6aacd3edc9c482c91b554a0494c865b65c6e9b54e6575fbab1dd33f245"),
+        pytest.param(
+            7,
+            "52d59852aad91aef1bead7723ed6e7e26aa0a6e74e9cc9e272d152e32dfe2ff5",
+            marks=pytest.mark.slow,
+        ),
     ])
     def test_subgroup_classes_frozen(self, n, digest):
         # Representatives, generators and their order, frozen from the
@@ -349,6 +354,25 @@ class TestTransitiveSubgroups:
         finally:
             _subgroup_classes.cache_clear()
         assert len(calls) == len(classes)
+
+    def test_one_extension_per_cyclic_subgroup(self, monkeypatch):
+        # The orbits of x -> h x, x -> c x c^-1 and x -> x^k do not depend
+        # on which generators of the units mod lcm(1..n) give the k.
+        counts = []
+        original = _SymmetricIndex.extension_reps
+
+        def counted(self, *args):
+            reps = original(self, *args)
+            counts.append(reps.size)
+            return reps
+
+        monkeypatch.setattr(_SymmetricIndex, "extension_reps", counted)
+        _subgroup_classes.cache_clear()
+        try:
+            _subgroup_classes(6)
+        finally:
+            _subgroup_classes.cache_clear()
+        assert sum(counts) == 456
 
     @pytest.mark.slow
     def test_degree_7_subgroup_class_count(self):
@@ -400,3 +424,40 @@ class TestSymmetricIndex:
         parent = idx.closure([a])
         assert np.array_equal(idx.closure([a, b], start=parent), idx.closure([a, b]))
         assert np.array_equal(idx.closure([a], start=parent), parent)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_power_maps_are_powers_that_keep_the_order(self, n):
+        idx = _sym_index(n)
+        perms = [idx.permutation(x) for x in range(idx.size)]
+        orders = [math.lcm(*p.cycle_type()) for p in perms]
+        exponent = math.lcm(*range(1, n + 1))
+        assert len(idx.power_maps) == len(_unit_generators(exponent))
+        for k, power in zip(_unit_generators(exponent), idx.power_maps):
+            assert sorted(power.tolist()) == list(range(idx.size))
+            assert [orders[int(y)] for y in power] == orders
+            assert [perms[int(y)] for y in power] == [p**k for p in perms]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unit_generators_generate_every_unit(self, n):
+        exponent = math.lcm(*range(1, n + 1))
+        units = {k % exponent for k in range(1, exponent + 1) if math.gcd(k, exponent) == 1}
+        reached = {1 % exponent}
+        frontier = list(reached)
+        while frontier:
+            step = {r * k % exponent for r in frontier for k in _unit_generators(exponent)}
+            frontier = list(step - reached)
+            reached |= step
+        assert reached == units
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_closure_of_a_transposition_and_an_n_cycle(self, n):
+        idx = _sym_index(n)
+        rows = np.array(
+            [perm((0, 1), degree=n).images, perm(tuple(range(n)), degree=n).images],
+            dtype=np.int8,
+        )
+        t, c = (int(v) for v in idx.lookup(rows))
+        everything = np.arange(idx.size)
+        assert np.array_equal(idx.closure([t, c]), everything)
+        assert np.array_equal(idx.closure([t, c], start=idx.closure([t])), everything)
+        assert np.array_equal(idx.closure([t, c], start=idx.closure([c])), everything)
