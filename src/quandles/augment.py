@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import Permutation
+from .perm import Permutation, _as_point
 from .quandle import Quandle
 
 __all__ = [
@@ -89,7 +89,7 @@ class GammaHom:
         return self.assignment[0].degree
 
     def __call__(self, x: int) -> Permutation:
-        return self.assignment[x]
+        return self.assignment[_as_point(x, self.source_order)]
 
     def is_valid(self) -> bool:
         try:
@@ -144,7 +144,5 @@ def evaluate(hom: GammaHom, word: Sequence[tuple[int, int]]) -> Permutation:
     """
     result = Permutation.identity(hom.target_order)
     for point, exponent in word:
-        if not 0 <= point < hom.source_order:
-            raise ValueError(f"generator {point} out of range for source order {hom.source_order}")
-        result = result * hom.assignment[point] ** exponent
+        result = result * hom(point) ** exponent
     return result

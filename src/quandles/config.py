@@ -30,6 +30,19 @@ def resolve_bound(default: int) -> int:
     return value
 
 
+def check_order(n: int, default: int | None = None, noun: str = "order") -> None:
+    """Refuse n below 1, or above resolve_bound(default), or HARD_MAX_ORDER without a default."""
+    if n < 1:
+        raise ValueError(f"{noun} must be at least 1")
+    if default is None:
+        if n > HARD_MAX_ORDER:
+            raise BoundError(f"{noun} {n} exceeds the hard bound {HARD_MAX_ORDER}")
+        return
+    bound = resolve_bound(default)
+    if n > bound:
+        raise BoundError(f"{noun} {n} exceeds the configured bound {bound}")
+
+
 class PostconditionError(RuntimeError):
     """An internal invariant failed: a bug in this package, not bad input."""
 

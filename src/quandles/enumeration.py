@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import BoundError, ensure, resolve_bound
+from .config import check_order, ensure
 from .perm import PermGroup, Permutation, generate_group, transitive_subgroups_up_to_conjugacy
 from .quandle import Quandle
 
@@ -155,12 +155,7 @@ def enumerate_connected(n: int) -> list[CensusEntry]:
     quandles, deduped by canonical form.  Entries are sorted by canonical
     table, so the output is deterministic.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    bound = resolve_bound(6)
-    if n > bound:
-        raise BoundError(f"order {n} exceeds the configured bound {bound}")
-
+    check_order(n, 6)
     by_class: dict[Quandle, CensusEntry] = {}
     for group in transitive_subgroups_up_to_conjugacy(n):
         stab = group.stabilizer(0)

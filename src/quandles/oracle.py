@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .config import BoundError, resolve_bound
+from .config import check_order
 from .quandle import Quandle, _cycle_type
 
 __all__ = ["Census", "enumerate_all", "count_connected"]
@@ -179,6 +179,10 @@ def _cycle_type_columns(n: int) -> list[tuple[int, ...]]:
 
     Each partition of n-1 becomes consecutive cycles on 1..n-1, largest first.
     """
+    # Any one permutation per type is sound; this choice is for speed.  The
+    # lex-least permutation fixing 0 of each type (cycles on the highest
+    # points) gives the same 181 leaves and census at order 6, but the column
+    # search takes about 20% longer (0.0080 s against 0.0066 s).
     columns = []
     for parts in _partitions(n - 1, n - 1):
         images = [0] * n
@@ -221,11 +225,7 @@ def enumerate_all(n: int) -> Census:
     each class gets one canonical form.  The default bound of 6 follows
     QUANDLE_MAX_ORDER; order 7 searches 1405 labelings.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    bound = resolve_bound(6)
-    if n > bound:
-        raise BoundError(f"order {n} exceeds the configured bound {bound}")
+    check_order(n, 6)
     buckets: dict[tuple[tuple[int, ...], ...], list[Quandle]] = {}
     for table in labeled_tables(n, _cycle_type_columns(n)):
         q = Quandle(table)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import HARD_MAX_ORDER, BoundError, ensure, resolve_bound
+from .config import check_order, ensure
 
 __all__ = [
     "Permutation",
@@ -100,19 +101,7 @@ class Permutation:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Sorted lengths of all cycles, fixed points included."""
-        lengths = []
-        seen = [False] * len(self.images)
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length = 0
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                k = self.images[k]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths))
+        return _cycle_type(self.images)[::-1]
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least point."""
@@ -138,9 +127,26 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in parts)
 
 
+def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of the permutation with these images, largest first."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 def _as_point(point: object, degree: int) -> int:
     """The point as an int; ValueError unless it is a non-bool int in 0..degree-1."""
-    is_int = isinstance(point, (int, np.integer)) and not isinstance(point, bool)
+    # int first: it skips the slower abstract-class check for plain ints.
+    is_int = isinstance(point, (int, numbers.Integral)) and not isinstance(point, bool)
     if not (is_int and 0 <= point < degree):
         raise ValueError(f"point {point!r} is not an int in 0..{degree - 1}")
     return int(point)
@@ -285,8 +291,7 @@ class PermGroup:
 @lru_cache(maxsize=None)
 def _sym_index(n: int) -> "_SymmetricIndex":
     """The index of S_n for the subgroup search; degrees above HARD_MAX_ORDER are refused."""
-    if n > HARD_MAX_ORDER:
-        raise BoundError(f"order {n} exceeds the hard bound {HARD_MAX_ORDER}")
+    check_order(n)
     return _SymmetricIndex(n)
 
 
@@ -310,13 +315,8 @@ class _SymmetricIndex:
         self.weights = np.array([n**k for k in range(n - 1, -1, -1)], dtype=np.int64)
         self.inverse_rows = np.argsort(self.arr, axis=1).astype(np.int8)
         self.identity = 0
-
-    @cached_property
-    def rank(self) -> np.ndarray:
-        """rank[code] = index, n**n entries; built on first lookup only."""
-        rank = np.zeros(self.n**self.n, dtype=np.int32)
-        rank[self.arr.astype(np.int64) @ self.weights] = np.arange(self.size, dtype=np.int32)
-        return rank
+        self.rank = np.zeros(n**n, dtype=np.int32)  # rank[code] = index
+        self.rank[self.arr.astype(np.int64) @ self.weights] = np.arange(self.size, dtype=np.int32)
 
     def lookup(self, images: np.ndarray) -> np.ndarray:
         """Indices of the permutations whose image rows are given."""
@@ -338,8 +338,6 @@ class _SymmetricIndex:
         frontier = np.array([self.identity], dtype=np.int64) if start is None else start
         seen = np.zeros(self.size, dtype=bool)
         seen[frontier] = True
-        if not gens:
-            return np.flatnonzero(seen)
         # compose(f, g)(x) = g(f(x)), so the composed row is g_row[f_row];
         # offsets pick generator j's row out of the flattened rows.
         gen_flat = self.arr[gens].reshape(-1)
@@ -425,18 +423,16 @@ class _SymmetricIndex:
         m = int(elements.size)
         rows = self.arr[elements]
         reps = self.orbit_minima([self.lookup(self.arr[:, self.arr[h]]) for h in generators])
+        # One batch: n!/m cosets of m elements on n points is n! * n
+        # entries, at most 322560 (n = 8), so it is not chunked.
+        mid = rows[:, self.inverse_rows[reps]].transpose(1, 0, 2)  # [reps, m, n]: s(g^-1(x))
+        out = self.arr[reps][np.arange(reps.size)[:, None, None], mid]  # g(s(g^-1(x)))
+        idx = self.lookup(out)
+        idx.sort(axis=1)
+        raw = _subgroup_key(idx)
         width = _KEY_DTYPE.itemsize * m
-        conjugates: list[bytes] = []  # conjugates[i] is the key of g H g^-1, g = reps[i]
-        chunk = max(1, (1 << 21) // (m * self.n))
-        for start in range(0, reps.size, chunk):
-            gs = reps[start : start + chunk]
-            inv_rows = self.inverse_rows[gs]
-            mid = rows[:, inv_rows].transpose(1, 0, 2)  # [B, m, n]: s(g^-1(x))
-            out = self.arr[gs][np.arange(gs.size)[:, None, None], mid]  # g(s(g^-1(x)))
-            idx = self.lookup(out)
-            idx.sort(axis=1)
-            raw = _subgroup_key(idx)
-            conjugates.extend(raw[b : b + width] for b in range(0, len(raw), width))
+        # conjugates[i] is the key of g H g^-1, g = reps[i]
+        conjugates = [raw[b : b + width] for b in range(0, len(raw), width)]
         least = min(conjugates)
         # The g with g H g^-1 least form N c for any one of them, c; they
         # are the cosets g H of the hits.
@@ -552,9 +548,5 @@ def transitive_subgroups_up_to_conjugacy(n: int) -> list[PermGroup]:
     calls reuse its cached result.
     The degree bound defaults to 7 and follows QUANDLE_MAX_ORDER.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    bound = resolve_bound(7)
-    if n > bound:
-        raise BoundError(f"degree {n} exceeds the configured bound {bound}")
+    check_order(n, 7, noun="degree")
     return list(_transitive_class_groups(n))

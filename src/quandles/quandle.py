@@ -45,8 +45,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .config import HARD_MAX_ORDER, BoundError, ensure
-from .perm import PermGroup, Permutation, _as_point, generate_group
+from .config import check_order, ensure
+from .perm import PermGroup, Permutation, _as_point, _cycle_type, generate_group
 
 __all__ = [
     "Quandle",
@@ -177,7 +177,7 @@ class Quandle:
 
     def op(self, x: int, y: int) -> int:
         """x > y."""
-        return self.table[x][y]
+        return self.table[_as_point(x, self.order)][_as_point(y, self.order)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Quandle):
@@ -267,8 +267,7 @@ class Quandle:
         Orders above HARD_MAX_ORDER are refused; the trivial quandle of
         order n has all n! permutations as automorphisms.
         """
-        if self.order > HARD_MAX_ORDER:
-            raise BoundError(f"order {self.order} exceeds the hard bound {HARD_MAX_ORDER}")
+        check_order(self.order)
         if "aut" not in self._cache:
             group = PermGroup.from_elements(self._isomorphisms(self), self.order)
             ensure(self.inner_group().is_subgroup_of(group), "inner group is not inside Aut")
@@ -349,22 +348,6 @@ class Quandle:
                 s.pop()
 
         yield from extend(0)
-
-
-def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
-    """Cycle lengths of the permutation with these images, largest first."""
-    seen = [False] * len(images)
-    lengths = []
-    for start in range(len(images)):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def _canonical_table(

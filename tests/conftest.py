@@ -70,8 +70,9 @@ def census_7():
 
 
 # Acceptance results are printed after the run so they survive output
-# capture; each entry is (criterion number, short name, "PASS"/"FAIL").
-ACCEPTANCE_RESULTS: list[tuple[int, str, str]] = []
+# capture; each entry is (criterion number, short name, "PASS"/"FAIL",
+# elapsed seconds, budget seconds).
+ACCEPTANCE_RESULTS: list[tuple[int, str, str, float, float]] = []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -79,5 +80,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.write_line("")
     terminalreporter.write_line("acceptance criteria:")
-    for number, name, status in sorted(ACCEPTANCE_RESULTS):
-        terminalreporter.write_line(f"  criterion {number} ({name}): {status}")
+    for number, name, status, elapsed, budget in sorted(ACCEPTANCE_RESULTS):
+        terminalreporter.write_line(
+            f"  criterion {number} ({name}): {status} {elapsed:.1f} s of {budget:g} s"
+        )

@@ -1,7 +1,8 @@
 """End-to-end acceptance suite.
 
-Each criterion records PASS or FAIL into the shared results list, which
-the terminal summary prints one line per criterion after the run.  The
+Each criterion records PASS or FAIL, its elapsed time and its budget into
+the shared results list, which the terminal summary prints one line per
+criterion after the run.  The
 budgets are wall-clock ceilings; census build times are charged where
 the shared store first computes them (this file runs first in an
 alphabetical full-suite run, so they usually land here).
@@ -38,18 +39,18 @@ CONNECTED_COUNTS = [1, 0, 1, 1, 3, 2]
 @contextlib.contextmanager
 def criterion(number: int, name: str, budget_seconds: float):
     start = time.perf_counter()
+    status = "FAIL"
     try:
         yield
-    except BaseException:
-        ACCEPTANCE_RESULTS.append((number, name, "FAIL"))
-        raise
-    elapsed = time.perf_counter() - start
-    if elapsed >= budget_seconds:
-        ACCEPTANCE_RESULTS.append((number, name, "FAIL"))
-        raise AssertionError(
-            f"criterion {number} took {elapsed:.1f}s, budget {budget_seconds}s"
-        )
-    ACCEPTANCE_RESULTS.append((number, name, "PASS"))
+        elapsed = time.perf_counter() - start
+        if elapsed >= budget_seconds:
+            raise AssertionError(
+                f"criterion {number} took {elapsed:.1f}s, budget {budget_seconds}s"
+            )
+        status = "PASS"
+    finally:
+        elapsed = time.perf_counter() - start
+        ACCEPTANCE_RESULTS.append((number, name, status, elapsed, budget_seconds))
 
 
 def random_hom(rng: random.Random, source: Quandle, target: Quandle) -> GammaHom:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,13 @@ class TestValidation:
     def test_call_returns_assignment(self, t3):
         hom = canonical_hom(t3)
         assert hom(0) == t3.symmetry(0)
+        assert hom(np.int64(2)) == t3.symmetry(2)
+
+    def test_call_refuses_what_is_not_a_point(self, t3):
+        hom = canonical_hom(t3)
+        for point in (-1, 3, True, "0"):
+            with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
+                hom(point)
 
 
 class TestEvaluate:
@@ -174,6 +182,7 @@ class TestEvaluate:
         # S_0 then S_1: (1 2) then (0 2) sends 0,1,2 to 2,0,1
         got = evaluate(canonical_hom(t3), [(0, 1), (1, 1)])
         assert got.images == (2, 0, 1)
+        assert evaluate(canonical_hom(t3), [(np.int64(0), 1), (np.int32(1), 1)]) == got
 
     def test_inverse_exponents_cancel(self, t3):
         hom = canonical_hom(t3)
@@ -181,8 +190,11 @@ class TestEvaluate:
         assert evaluate(hom, [(1, -1), (2, 1), (2, -1), (1, 1)]) == Permutation.identity(3)
 
     def test_out_of_range_generator(self, t3):
-        with pytest.raises(ValueError):
-            evaluate(canonical_hom(t3), [(3, 1)])
+        # -1 would read the last generator, and True would read generator 1.
+        hom = canonical_hom(t3)
+        for point in (-1, 3, True, "0"):
+            with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
+                evaluate(hom, [(0, 1), (point, 1)])
 
     def test_augmentation_law(self, t3, q3):
         # acting on x by its own assigned symmetry fixes x

@@ -1,0 +1,85 @@
+"""The order and degree bounds, decided by config.check_order for every caller."""
+
+from __future__ import annotations
+
+import pytest
+
+from quandles.config import HARD_MAX_ORDER, BoundError, check_order
+from quandles.enumeration import enumerate_connected
+from quandles.oracle import enumerate_all
+from quandles.perm import _sym_index, transitive_subgroups_up_to_conjugacy
+from quandles.quandle import dihedral_quandle
+
+
+def message(call, *args) -> tuple[type, str]:
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+class TestCheckOrder:
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_accepts_orders_within_the_bound(self, n, monkeypatch):
+        monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+        check_order(n, 6)
+        check_order(n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_below_one_is_a_plain_value_error(self, n):
+        assert message(check_order, n) == (ValueError, "order must be at least 1")
+        assert message(check_order, n, 6, "degree") == (ValueError, "degree must be at least 1")
+
+    def test_configured_bound(self, monkeypatch):
+        monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+        assert message(check_order, 7, 6) == (
+            BoundError, "order 7 exceeds the configured bound 6"
+        )
+
+    def test_environment_sets_the_configured_bound(self, monkeypatch):
+        monkeypatch.setenv("QUANDLE_MAX_ORDER", "4")
+        check_order(4, 6)
+        assert message(check_order, 5, 6, "degree") == (
+            BoundError, "degree 5 exceeds the configured bound 4"
+        )
+        monkeypatch.setenv("QUANDLE_MAX_ORDER", "8")
+        check_order(8, 6)
+
+    def test_hard_bound_without_a_default(self, monkeypatch):
+        # The environment moves only configured bounds.
+        monkeypatch.setenv("QUANDLE_MAX_ORDER", "2")
+        check_order(HARD_MAX_ORDER)
+        assert message(check_order, HARD_MAX_ORDER + 1) == (
+            BoundError, "order 9 exceeds the hard bound 8"
+        )
+
+    def test_a_bad_environment_value_is_refused_before_the_comparison(self, monkeypatch):
+        monkeypatch.setenv("QUANDLE_MAX_ORDER", "9")
+        assert message(check_order, 1, 6) == (
+            BoundError, "QUANDLE_MAX_ORDER=9 refused; supported range is 1..8"
+        )
+        assert message(check_order, 0, 6) == (ValueError, "order must be at least 1")
+
+
+class TestCallerMessages:
+    """Each entry point's refusals, byte for byte as before the rule moved to config."""
+
+    def test_enumerators(self, monkeypatch):
+        monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+        for call in (enumerate_all, enumerate_connected):
+            assert message(call, 0) == (ValueError, "order must be at least 1")
+            assert message(call, 7) == (BoundError, "order 7 exceeds the configured bound 6")
+        monkeypatch.setenv("QUANDLE_MAX_ORDER", "3")
+        assert message(enumerate_all, 4) == (BoundError, "order 4 exceeds the configured bound 3")
+
+    def test_transitive_subgroups(self, monkeypatch):
+        monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+        call = transitive_subgroups_up_to_conjugacy
+        assert message(call, 0) == (ValueError, "degree must be at least 1")
+        assert message(call, 8) == (BoundError, "degree 8 exceeds the configured bound 7")
+        monkeypatch.setenv("QUANDLE_MAX_ORDER", "5")
+        assert message(call, 6) == (BoundError, "degree 6 exceeds the configured bound 5")
+
+    def test_hard_bound_callers(self):
+        assert message(_sym_index, 9) == (BoundError, "order 9 exceeds the hard bound 8")
+        q = dihedral_quandle(9)
+        assert message(q.automorphism_group) == (BoundError, "order 9 exceeds the hard bound 8")

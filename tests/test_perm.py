@@ -25,7 +25,13 @@ from quandles.perm import (
     generate_group,
     transitive_subgroups_up_to_conjugacy,
 )
-from quandles.perm import _subgroup_classes, _sym_index, _SymmetricIndex, _unit_generators
+from quandles.perm import (
+    _cycle_type,
+    _subgroup_classes,
+    _sym_index,
+    _SymmetricIndex,
+    _unit_generators,
+)
 
 
 def perm(*cycles, degree):
@@ -119,6 +125,11 @@ class TestPermutation:
         assert Permutation.identity(2).is_even()
         assert not perm((0, 1), degree=2).is_even()
         assert perm((0, 1, 2), degree=3).is_even()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cycle_type_is_the_image_tuple_cycle_type_reversed(self, n):
+        for images in itertools.permutations(range(n)):
+            assert Permutation(images).cycle_type() == _cycle_type(images)[::-1]
 
     def test_str_cycles(self):
         assert str(Permutation.identity(3)) == "()"

@@ -107,7 +107,16 @@ class TestBasics:
     def test_op_and_len(self, t3):
         assert len(t3) == 3
         assert t3.op(0, 1) == 2
+        assert t3.op(np.int64(0), np.int8(1)) == 2
         assert t3.order == 3
+
+    def test_op_refuses_what_is_not_a_point(self, t3):
+        # -1 would read the last row, and True would read row 1.
+        for point in (-1, 3, True, "0"):
+            with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
+                t3.op(point, 0)
+            with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
+                t3.op(0, point)
 
     def test_equality_and_hash(self, t3):
         assert t3 == Quandle(TAIT_TABLE)
