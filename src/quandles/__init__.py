@@ -7,113 +7,27 @@ quandle into its orbit blocks plus the cross-block actions, and composing
 such data back when it is coherent.  enumeration builds all connected
 quandles of an order from transitive group data, and oracle brute-forces
 the same census by independent means so the two can be checked against
-each other.
+each other.  The public names are each module's __all__, in that order.
 """
 
-from .augment import (
-    GammaHom,
-    HomError,
-    NotAnAutomorphismError,
-    RelationViolationError,
-    canonical_hom,
-    evaluate,
-    trivial_hom,
-    validate_gamma_hom,
-)
-from .decompose import (
-    Condition1ViolationError,
-    Condition2ViolationError,
-    Decomposition,
-    DecompositionTree,
-    DiagonalNotCanonicalError,
-    Mesh,
-    MeshError,
-    decompose,
-    decomposition_tree,
-    disjoint_union,
-    is_valid_mesh,
-    semidisjoint_union,
-    validate_mesh,
-)
-from .enumeration import (
-    CensusEntry,
-    ConnectedSeed,
-    GenerationFailureError,
-    NotConnectedError,
-    check_generation,
-    coset_quandle,
-    enumerate_connected,
-    realize,
-)
-from .oracle import Census, count_connected, enumerate_all
-from .perm import (
-    PermGroup,
-    Permutation,
-    compose,
-    generate_group,
-    transitive_subgroups_up_to_conjugacy,
-)
-from .quandle import (
-    AxiomViolation,
-    DistributivityViolation,
-    IdempotenceViolation,
-    InvertibilityViolation,
-    Quandle,
-    RangeViolation,
-    axiom_violations,
-    dihedral_quandle,
-    is_quandle_table,
-    trivial_quandle,
-)
+from . import augment, decompose, enumeration, oracle, perm, quandle
+
+# Read before the star imports: the decompose function rebinds the name of
+# its module.
+__all__ = [
+    *perm.__all__,
+    *quandle.__all__,
+    *augment.__all__,
+    *decompose.__all__,
+    *enumeration.__all__,
+    *oracle.__all__,
+]
+
+from .perm import *  # noqa: E402,F401,F403
+from .quandle import *  # noqa: E402,F401,F403
+from .augment import *  # noqa: E402,F401,F403
+from .decompose import *  # noqa: E402,F401,F403
+from .enumeration import *  # noqa: E402,F401,F403
+from .oracle import *  # noqa: E402,F401,F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Permutation",
-    "PermGroup",
-    "compose",
-    "generate_group",
-    "transitive_subgroups_up_to_conjugacy",
-    "Quandle",
-    "AxiomViolation",
-    "IdempotenceViolation",
-    "InvertibilityViolation",
-    "DistributivityViolation",
-    "RangeViolation",
-    "axiom_violations",
-    "is_quandle_table",
-    "trivial_quandle",
-    "dihedral_quandle",
-    "GammaHom",
-    "HomError",
-    "RelationViolationError",
-    "NotAnAutomorphismError",
-    "validate_gamma_hom",
-    "canonical_hom",
-    "trivial_hom",
-    "evaluate",
-    "Mesh",
-    "MeshError",
-    "DiagonalNotCanonicalError",
-    "Condition1ViolationError",
-    "Condition2ViolationError",
-    "Decomposition",
-    "DecompositionTree",
-    "validate_mesh",
-    "is_valid_mesh",
-    "semidisjoint_union",
-    "disjoint_union",
-    "decompose",
-    "decomposition_tree",
-    "ConnectedSeed",
-    "CensusEntry",
-    "GenerationFailureError",
-    "NotConnectedError",
-    "check_generation",
-    "coset_quandle",
-    "realize",
-    "enumerate_connected",
-    "Census",
-    "enumerate_all",
-    "count_connected",
-]

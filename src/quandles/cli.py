@@ -15,9 +15,8 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .augment import HomError
-from .config import BoundError, resolve_bound
-from .decompose import Decomposition, MeshError, decompose, decomposition_tree, semidisjoint_union
+from .config import DEFAULT_MAX_ORDER, BoundError, resolve_bound
+from .decompose import Decomposition, decompose, decomposition_tree, semidisjoint_union
 from .enumeration import enumerate_connected
 from .oracle import enumerate_all
 from .quandle import Quandle, axiom_violations
@@ -52,7 +51,7 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     table = _read_table(args.file)
     violations = axiom_violations(table)
     if not violations:
@@ -63,7 +62,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
+def _cmd_info(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     q = _read_quandle(args.file)
     orbits = " ".join("{" + ",".join(map(str, orbit)) + "}" for orbit in q.orbits())
     # Every field is computed before anything is written, so a refused
@@ -79,7 +78,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_iso(args: argparse.Namespace) -> int:
+def _cmd_iso(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     a = _read_quandle(args.first)
     b = _read_quandle(args.second)
     witness = a.find_isomorphism(b)
@@ -90,7 +89,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     q = _read_quandle(args.file)
     if args.tree:
         obj = formats.tree_to_obj(decomposition_tree(q))
@@ -100,7 +99,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
+def _cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     obj = formats.parse_json(_read_text(args.file))
     mesh = formats.mesh_from_obj(obj)
     if obj.get("layout") is None:
@@ -176,7 +175,7 @@ def _cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def _check_bound(order: int, parser: argparse.ArgumentParser) -> None:
     try:
-        bound = resolve_bound(6)
+        bound = resolve_bound(DEFAULT_MAX_ORDER)
     except BoundError as exc:
         parser.error(str(exc))
     if not 1 <= order <= bound:
@@ -192,21 +191,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the quandle axioms on a table file")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("info", help="order, orbits, connectedness, group sizes")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_info)
 
     p = sub.add_parser("iso", help="find an isomorphism between two quandles")
     p.add_argument("first")
     p.add_argument("second")
+    p.set_defaults(run=_cmd_iso)
 
     p = sub.add_parser("decompose", help="orbit decomposition as a mesh")
     p.add_argument("file")
     p.add_argument("--tree", action="store_true",
                    help="recurse until every leaf is connected")
+    p.set_defaults(run=_cmd_decompose)
 
     p = sub.add_parser("compose", help="build the quandle a mesh file describes")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_compose)
 
     p = sub.add_parser("enumerate", help="enumerate quandles of one order")
     p.add_argument("--order", type=int, required=True)
@@ -215,11 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["structure", "brute"],
                    help="structure (default with --connected) or brute force")
     p.add_argument("--out", help="directory for order-N.json instead of stdout")
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("census", help="brute-force census, optionally cross-checked")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--check", action="store_true",
                    help="compare against the coset-construction enumeration")
+    p.set_defaults(run=_cmd_census)
 
     return parser
 
@@ -227,20 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "validate": _cmd_validate,
-        "info": _cmd_info,
-        "iso": _cmd_iso,
-        "decompose": _cmd_decompose,
-        "compose": _cmd_compose,
-    }
     try:
-        if args.verb in handlers:
-            code = handlers[args.verb](args)
-        elif args.verb == "enumerate":
-            code = _cmd_enumerate(args, parser)
-        else:
-            code = _cmd_census(args, parser)
+        code = args.run(args, parser)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -252,9 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     except formats.FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MALFORMED
-    except (MeshError, HomError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NEGATIVE
     except BoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

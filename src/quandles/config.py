@@ -4,6 +4,8 @@ import os
 
 ENV_MAX_ORDER = "QUANDLE_MAX_ORDER"
 HARD_MAX_ORDER = 8
+# The census order bound when QUANDLE_MAX_ORDER is unset.
+DEFAULT_MAX_ORDER = 6
 
 
 class BoundError(ValueError):

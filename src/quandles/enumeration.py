@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import check_order, ensure
+from .config import DEFAULT_MAX_ORDER, check_order, ensure
 from .perm import PermGroup, Permutation, generate_group, transitive_subgroups_up_to_conjugacy
 from .quandle import Quandle
 
@@ -64,7 +64,7 @@ class ConnectedSeed:
             raise ValueError("z must lie in the stabilizer")
         if any(self.z * h != h * self.z for h in self.stabilizer.generators):
             raise ValueError("z must be central in the stabilizer")
-        if len(self.reps) != n or any(r(0) != k for k, r in enumerate(self.reps)):
+        if len(self.reps) != n or any(r.images[0] != k for k, r in enumerate(self.reps)):
             raise ValueError("reps[k] must send 0 to k, one per coset")
 
     @property
@@ -84,7 +84,7 @@ def seed_from_group(group: PermGroup, z: Permutation) -> ConnectedSeed:
 def _coset_reps(group: PermGroup) -> tuple[Permutation, ...]:
     reps: dict[int, Permutation] = {}
     for g in group.elements:  # sorted, so first hit is least
-        k = g(0)
+        k = g.images[0]
         if k not in reps:
             reps[k] = g
     return tuple(reps[k] for k in range(group.degree))
@@ -118,7 +118,7 @@ def coset_quandle(seed: ConnectedSeed) -> Quandle:
     for j in (0, n - 1):
         for h in seed.stabilizer.generators:
             ensure(seed.z.conjugated_by(h * seed.reps[j]) == conj[j], "coset table ill-defined")
-    table = tuple(tuple(conj[j](i) for j in range(n)) for i in range(n))
+    table = tuple(tuple(c.images[i] for c in conj) for i in range(n))
     q = Quandle(table)
     ensure(q.is_connected(), "coset quandle is not connected")
     return q
@@ -155,7 +155,7 @@ def enumerate_connected(n: int) -> list[CensusEntry]:
     quandles, deduped by canonical form.  Entries are sorted by canonical
     table, so the output is deterministic.
     """
-    check_order(n, 6)
+    check_order(n, DEFAULT_MAX_ORDER)
     by_class: dict[Quandle, CensusEntry] = {}
     for group in transitive_subgroups_up_to_conjugacy(n):
         stab = group.stabilizer(0)

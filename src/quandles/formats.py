@@ -33,6 +33,7 @@ __all__ = [
     "mesh_to_obj",
     "mesh_from_obj",
     "decomposition_to_obj",
+    "layout_from_obj",
     "tree_to_obj",
     "census_entry_to_obj",
 ]

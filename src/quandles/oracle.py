@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .config import check_order
+from .config import DEFAULT_MAX_ORDER, check_order
 from .quandle import Quandle, _cycle_type
 
 __all__ = ["Census", "enumerate_all", "count_connected"]
@@ -225,7 +225,7 @@ def enumerate_all(n: int) -> Census:
     each class gets one canonical form.  The default bound of 6 follows
     QUANDLE_MAX_ORDER; order 7 searches 1405 labelings.
     """
-    check_order(n, 6)
+    check_order(n, DEFAULT_MAX_ORDER)
     buckets: dict[tuple[tuple[int, ...], ...], list[Quandle]] = {}
     for table in labeled_tables(n, _cycle_type_columns(n)):
         q = Quandle(table)

@@ -72,7 +72,7 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self.images[_as_point(point, len(self.images))]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
@@ -277,7 +277,7 @@ class PermGroup:
     def stabilizer(self, point: int) -> "PermGroup":
         """Subgroup fixing the point."""
         point = _as_point(point, self.degree)
-        members = [p for p in self.elements if p(point) == point]
+        members = [p for p in self.elements if p.images[point] == point]
         stab = PermGroup.from_elements(members, self.degree)
         ensure(len(self) == len(stab) * len(self.orbit(point)), "orbit-stabilizer count fails")
         return stab

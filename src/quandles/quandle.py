@@ -237,13 +237,9 @@ class Quandle:
         """
         if sigma.degree != self.order:
             raise ValueError(f"permutation degree {sigma.degree} != order {self.order}")
-        inv = sigma.inverse()
-        n = self.order
-        return Quandle(
-            tuple(
-                tuple(sigma(self.table[inv(x)][inv(y)]) for y in range(n)) for x in range(n)
-            )
-        )
+        s, inv = sigma.images, sigma.inverse().images
+        t = self.table
+        return Quandle(tuple(tuple(s[t[a][b]] for b in inv) for a in inv))
 
     def subquandle(self, points: Sequence[int]) -> "Quandle":
         """Induced quandle on a closed point set, relabeled to 0..k-1 in order."""

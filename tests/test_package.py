@@ -1,0 +1,51 @@
+"""The package namespace: each module's __all__, re-exported in layer order."""
+
+from __future__ import annotations
+
+import inspect
+import sys
+
+import quandles
+
+# quandles.decompose is the function, so the modules come from sys.modules.
+LAYERS = [
+    sys.modules[f"quandles.{name}"]
+    for name in ("perm", "quandle", "augment", "decompose", "enumeration", "oracle")
+]
+
+# The package's public names as they stood when each was still listed by hand.
+FROZEN_NAMES = {
+    "AxiomViolation", "Census", "CensusEntry", "Condition1ViolationError",
+    "Condition2ViolationError", "ConnectedSeed", "Decomposition", "DecompositionTree",
+    "DiagonalNotCanonicalError", "DistributivityViolation", "GammaHom",
+    "GenerationFailureError", "HomError", "IdempotenceViolation", "InvertibilityViolation",
+    "Mesh", "MeshError", "NotAnAutomorphismError", "NotConnectedError", "PermGroup",
+    "Permutation", "Quandle", "RangeViolation", "RelationViolationError",
+    "axiom_violations", "canonical_hom", "check_generation", "compose", "coset_quandle",
+    "count_connected", "decompose", "decomposition_tree", "dihedral_quandle",
+    "disjoint_union", "enumerate_all", "enumerate_connected", "evaluate", "generate_group",
+    "is_quandle_table", "is_valid_mesh", "realize", "semidisjoint_union",
+    "transitive_subgroups_up_to_conjugacy", "trivial_hom", "trivial_quandle",
+    "validate_gamma_hom", "validate_mesh",
+}
+
+
+def test_all_is_the_module_lists_in_layer_order():
+    assert quandles.__all__ == [name for module in LAYERS for name in module.__all__]
+    assert len(set(quandles.__all__)) == len(quandles.__all__)
+
+
+def test_all_keeps_the_frozen_names():
+    assert len(FROZEN_NAMES) == 47
+    assert set(quandles.__all__) == FROZEN_NAMES
+
+
+def test_each_name_is_the_module_object():
+    for module in LAYERS:
+        for name in module.__all__:
+            assert getattr(quandles, name) is getattr(module, name), name
+
+
+def test_decompose_is_the_function():
+    assert inspect.isfunction(quandles.decompose)
+    assert quandles.decompose.__module__ == "quandles.decompose"

@@ -71,6 +71,15 @@ class TestPermutation:
         p = perm((0, 2, 1), degree=3)
         assert [p(x) for x in range(3)] == [2, 0, 1]
 
+    def test_call_refuses_what_is_not_a_point(self):
+        # -1 would read the last image, and True would read image 1.
+        p = Permutation((1, 0, 2))
+        for point in (-1, 3, True, "0"):
+            with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
+                p(point)
+        assert p(np.int64(0)) == 1
+        assert p(np.int8(2)) == 2
+
     def test_compose_identity_cases(self):
         ident = Permutation.identity(3)
         swap = perm((0, 1), degree=3)
