@@ -88,11 +88,12 @@ class Mesh:
     """Blocks plus hom matrix, checked on construction like Quandle.
 
     homs[i][j] takes generators of blocks[i] to automorphisms of blocks[j].
-    A None diagonal entry is filled with the block's symmetries and a given
-    one must equal them; no off-diagonal entry may be None.  The first
-    failure is raised, witnesses least in scan order: shape, each entry's
-    source and target, the diagonals, each off-diagonal hom, then the
-    interchange law, all Condition 1 triples before any Condition 2 triple.
+    A None diagonal entry is filled with the block's symmetries, the very
+    Permutation objects the block caches, and a given one must equal them;
+    no off-diagonal entry may be None.  The first failure is raised,
+    witnesses least in scan order: shape, each entry's source and target,
+    the diagonals, each off-diagonal hom, then the interchange law, all
+    Condition 1 triples before any Condition 2 triple.
     """
 
     blocks: tuple[Quandle, ...]
@@ -109,7 +110,7 @@ class Mesh:
         columns = [tuple(zip(*b.table)) for b in blocks]
         homs = tuple(
             tuple(
-                GammaHom(b, b, tuple(map(Permutation, columns[i]))) if h is None and i == j else h
+                GammaHom(b, b, tuple(b.symmetries())) if h is None and i == j else h
                 for j, h in enumerate(row)
             )
             for i, (b, row) in enumerate(zip(blocks, self.homs))
@@ -240,7 +241,18 @@ def decompose(q: Quandle) -> Decomposition:
     Each block is the subquandle on one orbit; hom (i, j) sends a generator
     y of block i to the restriction of q's symmetry at y to block j, in
     local labels.  reassemble() returns a quandle equal to q.
+
+    The result is computed and checked once per quandle object and kept in
+    its cache, so later calls on the same object, decomposition_tree's
+    among them, return the same Decomposition.  An equal but distinct
+    Quandle is decomposed and checked afresh.
     """
+    if "decomposition" not in q._cache:
+        q._cache["decomposition"] = _decompose(q)
+    return q._cache["decomposition"]
+
+
+def _decompose(q: Quandle) -> Decomposition:
     orbits = q.orbits()
     blocks = tuple(q.subquandle(orbit) for orbit in orbits)
     local = {g: (bi, li) for bi, orbit in enumerate(orbits) for li, g in enumerate(orbit)}
@@ -302,8 +314,10 @@ class DecompositionTree:
 def decomposition_tree(q: Quandle) -> DecompositionTree:
     """Decompose recursively until every leaf is connected.
 
-    Terminates because a disconnected quandle has at least two orbits, so
-    block orders strictly decrease.
+    Each level goes through decompose, so a quandle or block decomposed
+    before is not decomposed or checked again.  Terminates because a
+    disconnected quandle has at least two orbits, so block orders strictly
+    decrease.
     """
     if q.is_connected():
         return DecompositionTree(q, None, ())

@@ -20,8 +20,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,22 +36,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Permutation:
-    """Bijection of {0..n-1}, stored as the tuple of images of 0, 1, ..., n-1."""
+    """Bijection of {0..n-1}, stored as the tuple of images of 0, 1, ..., n-1.
 
-    images: tuple[int, ...]
+    Immutable; equality, ordering and hashing are those of the image tuple.
+    """
 
-    def __post_init__(self) -> None:
-        raw = tuple(self.images)
+    __slots__ = ("images",)
+
+    def __init__(self, images: Iterable[int]):
+        raw = tuple(images)
         if bool in map(type, raw):
             raise TypeError(f"permutation images must be ints, not bools: {list(raw)}")
         images = tuple(map(operator.index, raw))
-        object.__setattr__(self, "images", images)
         if not images:
             raise ValueError("degree 0 permutations are not supported")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {list(images)}")
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Permutation instances are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Permutation instances are immutable")
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickling go back through the checks in __init__.
+        return Permutation, (self.images,)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.images == other.images
+
+    def __lt__(self, other: "Permutation") -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.images < other.images
+
+    def __hash__(self) -> int:
+        # Hashed as the 1-tuple (images,): the hash fixes the iteration
+        # order of every set of permutations, so it must not change.
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":

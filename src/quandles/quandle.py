@@ -14,6 +14,14 @@ each other the way their base points act.  The group generated by all
 symmetries is the inner group; its orbits partition the quandle, and the
 quandle is connected when there is one orbit.
 
+A Quandle is immutable, so each structure derived from its table is built
+at most once per object and kept in its private cache: the symmetries, the
+inner group, the orbits, the point signatures, the automorphism group, the
+canonical form, and the orbit decomposition (stored there by
+decompose.decompose).  Methods returning lists return fresh copies.  Copies
+and unpickled quandles are rebuilt through the constructor and start with an
+empty cache.
+
 The canonical form is the least relabeled table, compared in row-major
 order, found by branch and bound over lazily assigned labels.
 
@@ -168,6 +176,14 @@ class Quandle:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Quandle instances are immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Quandle instances are immutable")
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickling go back through the axiom check in __init__
+        # and start with an empty cache.
+        return Quandle, (self.table,)
+
     @property
     def order(self) -> int:
         return len(self.table)
@@ -194,11 +210,15 @@ class Quandle:
 
     def symmetry(self, y: int) -> Permutation:
         """The permutation x -> x > y."""
-        y = _as_point(y, self.order)
-        return Permutation(tuple(row[y] for row in self.table))
+        return self._symmetries()[_as_point(y, self.order)]
 
     def symmetries(self) -> list[Permutation]:
-        return [self.symmetry(y) for y in range(self.order)]
+        return list(self._symmetries())
+
+    def _symmetries(self) -> tuple[Permutation, ...]:
+        if "symmetries" not in self._cache:
+            self._cache["symmetries"] = tuple(map(Permutation, zip(*self.table)))
+        return self._cache["symmetries"]
 
     def inner_group(self) -> PermGroup:
         """Group generated by all symmetries."""

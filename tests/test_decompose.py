@@ -9,14 +9,17 @@ it.  Acceptance runs the large randomized version; here the profile
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import importlib
 import itertools
+import pickle
 import random
 
 import pytest
 
 from quandles.augment import GammaHom, canonical_hom, trivial_hom
+from quandles.config import PostconditionError
 from quandles.decompose import (
     Condition1ViolationError,
     Condition2ViolationError,
@@ -42,6 +45,18 @@ def perm(*cycles, degree):
 
 def hom(source, target, *image_tuples):
     return GammaHom(source, target, tuple(Permutation(t) for t in image_tuples))
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """The tables quandle.axiom_violations checks from here on, in call order."""
+    quandle_module = importlib.import_module("quandles.quandle")
+    tables = []
+    real = quandle_module.axiom_violations
+    monkeypatch.setattr(
+        quandle_module, "axiom_violations", lambda table: tables.append(table) or real(table)
+    )
+    return tables
 
 
 class TestValidateMesh:
@@ -303,6 +318,35 @@ class TestDecompose:
             dec = decompose(q)
             assert decompose(dec.reassemble()) == dec
 
+    def test_computed_once_per_quandle_object(self, q3, monkeypatch):
+        assert decompose(q3) is decompose(q3)
+        calls = []
+        real = Decomposition.reassemble
+        monkeypatch.setattr(
+            Decomposition, "reassemble", lambda dec: calls.append(dec) or real(dec)
+        )
+        # An equal but distinct quandle is decomposed and checked afresh, once.
+        twin = Quandle(q3.table)
+        dec = decompose(twin)
+        assert len(calls) == 1
+        assert decompose(twin) is dec
+        assert len(calls) == 1
+        assert dec == decompose(q3) and dec is not decompose(q3)
+
+    def test_a_failed_postcondition_is_not_cached(self, q3, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(Decomposition, "reassemble", lambda dec: None)
+            with pytest.raises(PostconditionError):
+                decompose(q3)
+        assert decompose(q3).reassemble() == q3
+
+    def test_none_diagonal_holds_the_blocks_own_symmetries(self, t3, q3):
+        mesh = Mesh([t3, q3], [[None, trivial_hom(t3, q3)], [trivial_hom(q3, t3), None]])
+        for i, block in enumerate(mesh.blocks):
+            assert all(
+                p is block.symmetry(y) for y, p in enumerate(mesh.homs[i][i].assignment)
+            )
+
 
 class TestDecompositionTree:
     def test_connected_is_leaf(self, t3):
@@ -328,6 +372,56 @@ class TestDecompositionTree:
         for n in range(1, 5):
             for q in censuses.brute(n).tables:
                 assert decomposition_tree(q).replay() == q
+
+    def test_reuses_the_root_decomposition(self, q3):
+        dec = decompose(q3)
+        tree = decomposition_tree(q3)
+        assert tree.decomposition is dec
+        assert all(child.quandle is block for child, block in zip(tree.children, dec.blocks))
+        assert decomposition_tree(q3).children[0].decomposition is tree.children[0].decomposition
+
+    def test_no_validation_for_levels_already_decomposed(self, t3, q3, validated):
+        # Every block of this one is connected, so the tree is the root level only.
+        glued = disjoint_union([t3, trivial_quandle(1)])
+        decompose(glued)
+        validated.clear()
+        assert decomposition_tree(glued).depth() == 1
+        assert validated == []
+        # With every level decomposed beforehand, no level builds a table again.
+        for q in (q3, trivial_quandle(3)):
+            for block in decompose(q).blocks:
+                decompose(block)
+            validated.clear()
+            tree = decomposition_tree(q)
+            assert validated == []
+            assert tree.replay() == q
+
+
+def _pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+class TestCopyAndPickle:
+    COPIES = (copy.copy, copy.deepcopy, _pickle_round_trip)
+
+    @pytest.mark.parametrize("duplicate", COPIES)
+    def test_round_trip_of_every_value_type(self, duplicate, q3):
+        dec = decompose(q3)
+        for value in (q3, perm((0, 1), degree=3), dec, dec.mesh):
+            twin = duplicate(value)
+            assert type(twin) is type(value)
+            assert twin == value
+        assert duplicate(dec).reassemble() == q3
+
+    @pytest.mark.parametrize("duplicate", COPIES)
+    def test_a_copied_quandle_is_validated_and_starts_uncached(self, duplicate, q3, validated):
+        dec = decompose(q3)
+        validated.clear()
+        twin = duplicate(q3)
+        assert twin is not q3
+        assert validated == [q3.table]
+        assert hash(twin) == hash(q3)
+        assert decompose(twin) == dec and decompose(twin) is not dec
 
 
 class TestFrozenMeshOutcomes:

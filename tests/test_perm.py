@@ -150,6 +150,58 @@ class TestPermutation:
         assert ps[0].is_identity()
         assert ps == sorted(ps, key=lambda p: p.images)
 
+    def test_comparisons_are_those_of_the_image_tuples(self):
+        perms = all_perms(3)
+        for p, q in itertools.product(perms, repeat=2):
+            a, b = p.images, q.images
+            assert (p == q, p != q, p < q, p <= q, p > q, p >= q) == (
+                a == b, a != b, a < b, a <= b, a > b, a >= b
+            )
+        # Permutations of different degrees compare as their tuples do.
+        assert Permutation((0,)) < Permutation((1, 0)) < Permutation((1, 0, 2))
+
+    def test_no_comparison_with_a_plain_tuple(self):
+        p = Permutation((0, 1))
+        assert not p == (0, 1)
+        assert p != (0, 1)
+        for compare in (
+            lambda: p < (0, 1),
+            lambda: p <= (0, 1),
+            lambda: p > (0, 1),
+            lambda: p >= (0, 1),
+            lambda: (0, 1) < p,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+
+    def test_hash_repr_and_keyword(self):
+        p = Permutation((1, 0, 2))
+        assert hash(p) == hash((p.images,))
+        assert repr(p) == "Permutation(images=(1, 0, 2))"
+        assert Permutation(images=(1, 0, 2)) == p
+        assert eval(repr(p)) == p
+
+    def test_immutable(self):
+        p = Permutation((1, 0))
+        with pytest.raises(AttributeError):
+            p.images = (0, 1)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        with pytest.raises(AttributeError):
+            del p.images
+        assert p.images == (1, 0)
+
+    def test_sorting_and_set_membership(self):
+        perms = all_perms(4)
+        backwards = perms[::-1]
+        assert sorted(backwards) == perms  # itertools order is lexicographic
+        assert min(backwards) == Permutation.identity(4)
+        members = set(backwards)
+        assert len(members) == 24
+        assert all(Permutation(p.images) in members for p in perms)
+        assert Permutation((0, 1, 2, 3, 4)) not in members
+        assert (0, 1, 2, 3) not in members
+
     @given(st.permutations(list(range(5))), st.permutations(list(range(5))),
            st.permutations(list(range(5))))
     def test_group_laws(self, a, b, c):

@@ -126,6 +126,9 @@ class TestBasics:
     def test_immutable(self, t3):
         with pytest.raises(AttributeError):
             t3.table = ()
+        with pytest.raises(AttributeError):
+            del t3.table
+        assert t3.table == TAIT_TABLE
 
     def test_is_trivial(self, t3):
         assert trivial_quandle(4).is_trivial()
@@ -155,6 +158,17 @@ class TestSymmetries:
         for point in (3, -1, False):
             with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
                 t3.symmetry(point)
+
+    def test_symmetries_are_built_once_and_returned_as_fresh_lists(self, t3):
+        first = t3.symmetries()
+        pinned = list(first)
+        first.clear()
+        second = t3.symmetries()
+        second[0] = Permutation.identity(3)
+        assert t3.symmetries() == pinned
+        assert second is not t3.symmetries()
+        # symmetry(y) hands out the same objects as symmetries().
+        assert all(t3.symmetry(y) is s for y, s in enumerate(t3.symmetries()))
 
     def test_trivial_symmetries_are_identity(self):
         q = trivial_quandle(4)
