@@ -1,5 +1,6 @@
 """Runtime bounds shared by the search-heavy entry points."""
 
+import numbers
 import os
 
 ENV_MAX_ORDER = "QUANDLE_MAX_ORDER"
@@ -33,7 +34,13 @@ def resolve_bound(default: int) -> int:
 
 
 def check_order(n: int, default: int | None = None, noun: str = "order") -> None:
-    """Refuse n below 1, or above resolve_bound(default), or HARD_MAX_ORDER without a default."""
+    """Refuse n below 1, or above resolve_bound(default), or HARD_MAX_ORDER without a default.
+
+    A bool or anything that is not an integer is a TypeError, raised before
+    any comparison; numpy ints pass.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise TypeError(f"{noun} must be an int, not {type(n).__name__}")
     if n < 1:
         raise ValueError(f"{noun} must be at least 1")
     if default is None:

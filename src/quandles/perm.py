@@ -20,7 +20,8 @@ import itertools
 import math
 import numbers
 import operator
-from functools import cached_property, lru_cache, total_ordering
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,14 +37,19 @@ __all__ = [
 ]
 
 
-@total_ordering
+@dataclass(frozen=True, order=True)
 class Permutation:
     """Bijection of {0..n-1}, stored as the tuple of images of 0, 1, ..., n-1.
 
-    Immutable; equality, ordering and hashing are those of the image tuple.
+    Immutable; equality, ordering and hashing are those of the 1-tuple
+    (images,), and comparisons with anything but a Permutation are refused.
+    The hash fixes the iteration order of every set of permutations.
     """
 
+    # Declared by hand, not with slots=True, which makes assigning an unknown
+    # attribute a TypeError.  Frozen slots need __reduce__ to copy or unpickle.
     __slots__ = ("images",)
+    images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
         raw = tuple(images)
@@ -56,33 +62,9 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {list(images)}")
         object.__setattr__(self, "images", images)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Permutation instances are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Permutation instances are immutable")
-
     def __reduce__(self) -> tuple:
         # Copies and unpickling go back through the checks in __init__.
         return Permutation, (self.images,)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __lt__(self, other: "Permutation") -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images < other.images
-
-    def __hash__(self) -> int:
-        # Hashed as the 1-tuple (images,): the hash fixes the iteration
-        # order of every set of permutations, so it must not change.
-        return hash((self.images,))
-
-    def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -93,7 +75,8 @@ class Permutation:
         """Permutation sending a -> b for consecutive entries of each cycle."""
         images = list(range(degree))
         for cycle in cycles:
-            for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
+            points = [_as_point(point, degree) for point in cycle]
+            for a, b in zip(points, points[1:] + points[:1]):
                 images[a] = b
         return cls(tuple(images))
 
@@ -221,14 +204,20 @@ def generate_group(generators: Iterable[Permutation], degree: int) -> "PermGroup
     return PermGroup(degree, tuple(gens), tuple(map(Permutation, elements)))
 
 
+@dataclass(frozen=True, eq=False)
 class PermGroup:
     """A subgroup of S_n with its element list fully materialized and sorted.
 
     Build instances with generate_group or PermGroup.from_elements; the
-    constructor itself trusts its arguments.
+    constructor itself trusts its arguments.  Equality and hashing ignore
+    the generators (a field(compare=False) would clash with __slots__), so
+    equal groups are equal element sets.
     """
 
     __slots__ = ("degree", "generators", "elements", "_members")
+    degree: int
+    generators: tuple[Permutation, ...]
+    elements: tuple[Permutation, ...]
 
     def __init__(
         self,
@@ -236,10 +225,15 @@ class PermGroup:
         generators: tuple[Permutation, ...],
         elements: tuple[Permutation, ...],
     ):
-        self.degree = int(degree)
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._members = frozenset(self.elements)
+        elements = tuple(elements)
+        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_members", frozenset(elements))
+
+    def __reduce__(self) -> tuple:
+        # Frozen slots cannot be restored by setattr, so copies re-run __init__.
+        return PermGroup, (self.degree, self.generators, self.elements)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":

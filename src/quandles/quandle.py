@@ -151,15 +151,18 @@ def is_quandle_table(table: Sequence[Sequence[int]]) -> bool:
     return not axiom_violations(table)
 
 
+@dataclass(frozen=True)
 class Quandle:
     """Immutable finite quandle over points 0..n-1.
 
     The constructor validates all three axioms and raises ValueError naming
     the first violation; use axiom_violations directly to collect all of
-    them from a raw table.
+    them from a raw table.  Equality compares the table only; the cache is
+    a slot, not a field.
     """
 
     __slots__ = ("table", "_cache")
+    table: tuple[tuple[int, ...], ...]
 
     def __init__(self, table: Sequence[Sequence[int]]):
         rows = tuple(map(tuple, table))
@@ -172,12 +175,6 @@ class Quandle:
             raise ValueError(f"not a quandle: {bad[0].describe()}")
         object.__setattr__(self, "table", tuple(tuple(map(int, row)) for row in rows))
         object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Quandle instances are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Quandle instances are immutable")
 
     def __reduce__(self) -> tuple:
         # Copies and unpickling go back through the axiom check in __init__
@@ -194,11 +191,6 @@ class Quandle:
     def op(self, x: int, y: int) -> int:
         """x > y."""
         return self.table[_as_point(x, self.order)][_as_point(y, self.order)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Quandle):
-            return NotImplemented
-        return self.table == other.table
 
     def __hash__(self) -> int:
         return hash(self.table)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from quandles.config import HARD_MAX_ORDER, BoundError, check_order
@@ -52,6 +53,22 @@ class TestCheckOrder:
             BoundError, "order 9 exceeds the hard bound 8"
         )
 
+    @pytest.mark.parametrize("n", [True, False, 2.5, 5.0, "3", None])
+    def test_what_is_not_an_int_is_a_type_error(self, n, monkeypatch):
+        monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+        for args, noun in (((n,), "order"), ((n, 6, "degree"), "degree")):
+            with pytest.raises(TypeError) as info:
+                check_order(*args)
+            assert str(info.value) == f"{noun} must be an int, not {type(n).__name__}"
+
+    def test_numpy_ints_pass(self, monkeypatch):
+        monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+        check_order(np.int64(6), 6)
+        check_order(np.int8(HARD_MAX_ORDER))
+        assert message(check_order, np.int64(7), 6) == (
+            BoundError, "order 7 exceeds the configured bound 6"
+        )
+
     def test_a_bad_environment_value_is_refused_before_the_comparison(self, monkeypatch):
         monkeypatch.setenv("QUANDLE_MAX_ORDER", "9")
         assert message(check_order, 1, 6) == (
@@ -78,6 +95,15 @@ class TestCallerMessages:
         assert message(call, 8) == (BoundError, "degree 8 exceeds the configured bound 7")
         monkeypatch.setenv("QUANDLE_MAX_ORDER", "5")
         assert message(call, 6) == (BoundError, "degree 6 exceeds the configured bound 5")
+
+    def test_enumerators_refuse_bools_and_floats(self, monkeypatch):
+        # enumerate_all(True) used to return a Census of order True, and 5.0
+        # failed deep in the search.
+        monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+        for call in (enumerate_all, enumerate_connected, transitive_subgroups_up_to_conjugacy):
+            for n in (True, 5.0):
+                with pytest.raises(TypeError, match="must be an int, not"):
+                    call(n)
 
     def test_hard_bound_callers(self):
         assert message(_sym_index, 9) == (BoundError, "order 9 exceeds the hard bound 8")

@@ -7,7 +7,9 @@ every connected quandle in range.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -170,3 +172,16 @@ class TestEnumerateConnected:
     def test_bound_refusal(self):
         with pytest.raises(ValueError):
             enumerate_connected(7)
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+    )
+    def test_round_trip_of_seeds_and_entries(self, duplicate):
+        for entry in enumerate_connected(5):
+            for value in (entry, entry.seed):
+                twin = duplicate(value)
+                assert type(twin) is type(value)
+                assert twin == value
+            assert duplicate(entry.seed).stabilizer.is_subgroup_of(entry.seed.group)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import sys
 
@@ -49,3 +50,14 @@ def test_each_name_is_the_module_object():
 def test_decompose_is_the_function():
     assert inspect.isfunction(quandles.decompose)
     assert quandles.decompose.__module__ == "quandles.decompose"
+
+
+def test_every_public_class_but_the_exceptions_is_a_frozen_dataclass():
+    values = [
+        obj for obj in map(vars(quandles).get, quandles.__all__)
+        if inspect.isclass(obj) and not issubclass(obj, BaseException)
+    ]
+    assert len(values) == 15
+    for cls in values:
+        assert dataclasses.is_dataclass(cls), cls.__name__
+        assert cls.__dataclass_params__.frozen, cls.__name__

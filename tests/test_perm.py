@@ -8,9 +8,12 @@ oracles live in this file so the main implementation never checks itself.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -66,6 +69,13 @@ class TestPermutation:
         assert perm((0, 1), degree=3).images == (1, 0, 2)
         assert perm((0, 1, 2), degree=4).images == (1, 2, 0, 3)
         assert perm((0, 1), (2, 3), degree=4).images == (1, 0, 3, 2)
+
+    def test_from_cycles_refuses_what_is_not_a_point(self):
+        # 5 used to raise IndexError, and -1 a message about images [-1, 1, 0].
+        for point in (5, -1, True, "0"):
+            with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
+                perm((0, point), degree=3)
+        assert perm((np.int64(0), np.int8(2)), degree=3).images == (2, 1, 0)
 
     def test_call_applies(self):
         p = perm((0, 2, 1), degree=3)
@@ -191,6 +201,14 @@ class TestPermutation:
             del p.images
         assert p.images == (1, 0)
 
+    def test_replace_reruns_the_checks(self):
+        p = Permutation((1, 0))
+        assert dataclasses.replace(p, images=[0, 1]) == Permutation.identity(2)
+        with pytest.raises(ValueError, match="not a permutation"):
+            dataclasses.replace(p, images=(0, 0))
+        with pytest.raises(TypeError, match="not bools"):
+            dataclasses.replace(p, images=(True, False))
+
     def test_sorting_and_set_membership(self):
         perms = all_perms(4)
         backwards = perms[::-1]
@@ -271,6 +289,28 @@ class TestGenerateGroup:
         assert perm((0, 1), degree=3) in s3
         assert h.is_subgroup_of(s3)
         assert not s3.is_subgroup_of(h)
+
+    def test_immutable(self):
+        g = generate_group([perm((0, 1), degree=3)], 3)
+        for name in ("degree", "generators", "elements", "_members", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, ())
+        for name in ("degree", "generators", "elements", "_members"):
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert len(g) == 2 and g in {g}
+        assert repr(g) == "PermGroup(degree=3, order=2)"
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))]
+    )
+    def test_copy_and_pickle(self, duplicate):
+        g = generate_group([perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)], 4)
+        twin = duplicate(g)
+        assert type(twin) is PermGroup
+        assert twin == g and hash(twin) == hash(g)
+        assert twin.generators == g.generators
+        assert all(p in twin for p in g)
 
 
 class TestGroupStructure:

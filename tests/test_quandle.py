@@ -9,6 +9,7 @@ relabeled tables) are local to this file.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -129,6 +130,12 @@ class TestBasics:
         with pytest.raises(AttributeError):
             del t3.table
         assert t3.table == TAIT_TABLE
+
+    def test_replace_reruns_the_axiom_check(self, t3):
+        assert dataclasses.replace(t3, table=trivial_quandle(2).table) == trivial_quandle(2)
+        with pytest.raises(ValueError, match="not a quandle"):
+            dataclasses.replace(t3, table=((1, 0), (1, 0)))
+        assert dataclasses.replace(t3) == t3
 
     def test_is_trivial(self, t3):
         assert trivial_quandle(4).is_trivial()
