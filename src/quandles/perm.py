@@ -22,7 +22,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -341,6 +341,7 @@ class _SymmetricIndex:
         self.identity = 0
         self.rank = np.zeros(n**n, dtype=np.int32)  # rank[code] = index
         self.rank[self.arr.astype(np.int64) @ self.weights] = np.arange(self.size, dtype=np.int32)
+        self._maps: dict[tuple[str, int], np.ndarray] = {}
 
     def lookup(self, images: np.ndarray) -> np.ndarray:
         """Indices of the permutations whose image rows are given."""
@@ -355,8 +356,12 @@ class _SymmetricIndex:
         start, when given, holds distinct elements of the group generated,
         the identity among them (say the parent of a cyclic extension); the
         search then grows from all of them instead of the identity alone.
-        By Lagrange only S_n itself has more than n!/2 elements, so the
-        search stops and returns all of S_n as soon as it has seen that many.
+        For n >= 5 a subgroup G of index below n contains A_n: S_n acts on
+        the cosets of G with kernel 1, A_n or S_n, and the kernel is not 1
+        because S_n does not embed in S_k for k < n.  So once more than
+        (n-1)! elements are seen the search stops, with A_n if every
+        generator is even and S_n otherwise.  For n <= 4 (D_4 has index 3
+        in S_4) it stops only past n!/2, where by Lagrange only S_n is left.
         """
         gens = sorted({int(g) for g in generators})
         frontier = np.array([self.identity], dtype=np.int64) if start is None else start
@@ -366,10 +371,11 @@ class _SymmetricIndex:
         # offsets pick generator j's row out of the flattened rows.
         gen_flat = self.arr[gens].reshape(-1)
         offsets = (np.arange(len(gens)) * self.n)[:, None, None]
+        bound = self.size // self.n if self.n >= 5 else self.size // 2
         count = frontier.size
         while frontier.size:
-            if 2 * count > self.size:
-                return np.arange(self.size)
+            if count > bound:
+                return np.flatnonzero(self.even) if self.even[gens].all() else np.arange(self.size)
             fresh = np.zeros(self.size, dtype=bool)
             fresh[self.lookup(gen_flat[offsets + self.arr[frontier]])] = True
             fresh &= ~seen
@@ -377,6 +383,13 @@ class _SymmetricIndex:
             frontier = fresh.nonzero()[0]
             count += frontier.size
         return np.flatnonzero(seen)
+
+    @cached_property
+    def even(self) -> np.ndarray:
+        """Whether each permutation is even, by the parity of its inversion count."""
+        i, j = np.triu_indices(self.n, k=1)
+        even = (self.arr[:, i] > self.arr[:, j]).sum(axis=1) % 2 == 0
+        return _read_only(even)
 
     def orbit_minima(self, maps: Sequence[np.ndarray]) -> np.ndarray:
         """Least element of each orbit of the group the index maps generate, sorted.
@@ -426,11 +439,32 @@ class _SymmetricIndex:
         is a bijection of S_n that maps H onto H, so H itself is still
         exactly the orbit of the identity; g and g^-1 share one orbit.
         """
-        maps = [self.lookup(self.arr[h][self.arr]) for h in subgroup_gens]
-        for c in self.greedy_generators(normalizer):
-            maps.append(self.lookup(self.arr[c][self.arr[:, self.inverse_rows[c]]]))
+        maps = [self.product_map(h) for h in subgroup_gens]
+        maps.extend(self.conjugation_map(c) for c in self.greedy_generators(normalizer))
         maps.extend(self.power_maps)
         return self.orbit_minima(maps)[1:]
+
+    # Each index map below is built once per (kind, element) and kept, as
+    # read-only uint16 (n! <= 40320): one search asks for the same few maps
+    # across many classes.
+
+    def product_map(self, h: int) -> np.ndarray:
+        """Index map x -> h x (h after x)."""
+        return self._memo("product", h, lambda: self.arr[h][self.arr])
+
+    def conjugation_map(self, c: int) -> np.ndarray:
+        """Index map x -> c x c^-1."""
+        return self._memo("conjugation", c, lambda: self.arr[c][self.arr[:, self.inverse_rows[c]]])
+
+    def coset_map(self, h: int) -> np.ndarray:
+        """Index map x -> x h (x after h); under H's generators its orbits are the cosets x H."""
+        return self._memo("coset", h, lambda: self.arr[:, self.arr[h]])
+
+    def _memo(self, kind: str, element: int, rows: Callable[[], np.ndarray]) -> np.ndarray:
+        key = (kind, element)
+        if key not in self._maps:
+            self._maps[key] = _read_only(self.lookup(rows()).astype(np.uint16))
+        return self._maps[key]
 
     def canonical_subgroup(
         self, elements: np.ndarray, generators: Sequence[int]
@@ -446,7 +480,7 @@ class _SymmetricIndex:
         """
         m = int(elements.size)
         rows = self.arr[elements]
-        reps = self.orbit_minima([self.lookup(self.arr[:, self.arr[h]]) for h in generators])
+        reps = self.orbit_minima([self.coset_map(h) for h in generators])
         # One batch: n!/m cosets of m elements on n points is n! * n
         # entries, at most 322560 (n = 8), so it is not chunked.
         mid = rows[:, self.inverse_rows[reps]].transpose(1, 0, 2)  # [reps, m, n]: s(g^-1(x))
@@ -463,7 +497,7 @@ class _SymmetricIndex:
         hits = reps[[i for i, key in enumerate(conjugates) if key == least]]
         cosets = self.arr[hits][:, rows[:, self.inverse_rows[hits[0]]]]  # g(h(c^-1(x)))
         normalizer = np.sort(self.lookup(cosets).reshape(-1))
-        canon = tuple(int(v) for v in np.frombuffer(least, dtype=_KEY_DTYPE))
+        canon = tuple(np.frombuffer(least, dtype=_KEY_DTYPE).tolist())
         return canon, set(conjugates), normalizer
 
     def greedy_generators(self, elements: np.ndarray) -> tuple[int, ...]:
@@ -472,8 +506,7 @@ class _SymmetricIndex:
         closed = np.array([self.identity], dtype=np.int64)
         current = np.zeros(self.size, dtype=bool)
         current[closed] = True
-        for e in elements:
-            e = int(e)
+        for e in elements.tolist():
             if current[e]:
                 continue
             gens.append(e)
@@ -482,6 +515,11 @@ class _SymmetricIndex:
             if closed.size == elements.size:
                 break
         return tuple(gens)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _unit_generators(modulus: int) -> list[int]:
@@ -538,8 +576,8 @@ def _subgroup_classes(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], 
     add_class(np.array([idx.identity], dtype=np.int64), ())
     while pending:
         rep_arr, gens, normalizer = pending.pop()
-        for g in idx.extension_reps(gens, normalizer):
-            extended = gens + (int(g),)
+        for g in idx.extension_reps(gens, normalizer).tolist():
+            extended = gens + (g,)
             new = idx.closure(extended, start=rep_arr)
             if _subgroup_key(new) not in known:
                 add_class(new, extended)
@@ -551,14 +589,15 @@ def _transitive_class_groups(n: int) -> tuple[PermGroup, ...]:
     idx = _sym_index(n)
     groups = []
     for elements, gens in _subgroup_classes(n):
-        element_arr = np.array(elements, dtype=np.int64)
-        if len(set(int(v) for v in idx.arr[element_arr, 0])) != n:
+        rows = idx.arr[list(elements)]
+        if len(set(rows[:, 0].tolist())) != n:
             continue
         # The search closed the elements and chose the generators greedily
         # in index order, which is Permutation order: what from_elements
         # would recompute.
-        perms = tuple(idx.permutation(e) for e in elements)
-        groups.append(PermGroup(n, tuple(idx.permutation(g) for g in gens), perms))
+        perms = tuple(map(Permutation, rows.tolist()))
+        generators = tuple(map(Permutation, idx.arr[list(gens)].tolist()))
+        groups.append(PermGroup(n, generators, perms))
     return tuple(groups)
 
 
@@ -568,7 +607,7 @@ def transitive_subgroups_up_to_conjugacy(n: int) -> list[PermGroup]:
     Each representative is the lexicographically least conjugate of its
     class and the list is sorted by (order, element list), so the result is
     fully deterministic.  The first call for a degree runs the subgroup-class
-    search (about 0.15 s at degree 6 and 1 s at degree 7 on 2 vCPUs); later
+    search (about 0.1 s at degree 6 and 0.5 s at degree 7 on 2 vCPUs); later
     calls reuse its cached result.
     The degree bound defaults to 7 and follows QUANDLE_MAX_ORDER.
     """

@@ -247,6 +247,7 @@ class Quandle:
 
         The new table satisfies new[sigma(x)][sigma(y)] = sigma(old[x][y]).
         """
+        _check_type(sigma, Permutation)
         if sigma.degree != self.order:
             raise ValueError(f"permutation degree {sigma.degree} != order {self.order}")
         s, inv = sigma.images, sigma.inverse().images
@@ -264,6 +265,7 @@ class Quandle:
         return Quandle(tuple(tuple(index[self.table[x][y]] for y in pts) for x in pts))
 
     def is_automorphism(self, sigma: Permutation) -> bool:
+        _check_type(sigma, Permutation)
         if sigma.degree != self.order:
             return False
         t, s, n = self.table, sigma.images, self.order
@@ -293,6 +295,7 @@ class Quandle:
 
     def find_isomorphism(self, other: "Quandle") -> Permutation | None:
         """Lexicographically least sigma with other == self.relabel(sigma), or None."""
+        _check_type(other, Quandle)
         return next(self._isomorphisms(other), None)
 
     def _signatures(self) -> list[tuple]:
@@ -447,6 +450,12 @@ def _canonical_table(
         extend(0, best is not None)
         label[x] = point[s] = -1
     return tuple((i,) * n for i in range(s)) + tuple(best or ())
+
+
+def _check_type(value: object, cls: type) -> None:
+    """TypeError unless value is a cls, so a wrong type never fails deep inside."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected a {cls.__name__}, not {type(value).__name__}")
 
 
 def trivial_quandle(n: int) -> Quandle:

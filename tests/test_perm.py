@@ -29,6 +29,7 @@ from quandles.perm import (
     transitive_subgroups_up_to_conjugacy,
 )
 from quandles.perm import (
+    _close,
     _cycle_type,
     _subgroup_classes,
     _sym_index,
@@ -573,3 +574,88 @@ class TestSymmetricIndex:
         assert np.array_equal(idx.closure([t, c]), everything)
         assert np.array_equal(idx.closure([t, c], start=idx.closure([t])), everything)
         assert np.array_equal(idx.closure([t, c], start=idx.closure([c])), everything)
+
+
+def closed_indices(idx, generators):
+    """The closure of the generators' indices, and its index array by _close."""
+    gens = [g.images for g in generators]
+    gen_idx = idx.lookup(np.array(gens, dtype=np.int8).reshape(-1, idx.n)).tolist()
+    expected = np.sort(idx.lookup(np.array(sorted(_close(gens, idx.n)), dtype=np.int8)))
+    return idx.closure(gen_idx), expected
+
+
+class TestClosureExit:
+    """For n >= 5 closure stops once the index falls below n (A_n or S_n)."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_three_cycles_close_to_the_even_indices(self, n):
+        idx = _sym_index(n)
+        three_cycles = [perm((0, 1, k), degree=n) for k in range(2, n)]
+        got, expected = closed_indices(idx, three_cycles)
+        even = [x for x in range(idx.size) if idx.permutation(x).is_even()]
+        assert got.tolist() == expected.tolist() == even
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_a_transposition_more_closes_to_everything(self, n):
+        idx = _sym_index(n)
+        gens = [perm((0, 1, k), degree=n) for k in range(2, n)] + [perm((0, 1), degree=n)]
+        got, expected = closed_indices(idx, gens)
+        assert got.tolist() == expected.tolist() == list(range(idx.size))
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_point_stabilizer_at_index_n(self, n):
+        idx = _sym_index(n)
+        gens = [perm((0, 1), degree=n), perm(tuple(range(n - 1)), degree=n)]
+        got, expected = closed_indices(idx, gens)
+        assert got.tolist() == expected.tolist()
+        assert got.size == math.factorial(n - 1)
+
+    def test_transitive_pgl_2_5_at_index_6(self):
+        # PGL(2, 5) on the projective line, infinity as point 5:
+        # x -> x + 1, x -> 2x and x -> -1/x.
+        idx = _sym_index(6)
+        gens = [
+            perm((0, 1, 2, 3, 4), degree=6),
+            perm((1, 2, 4, 3), degree=6),
+            perm((0, 5), (1, 4), degree=6),
+        ]
+        got, expected = closed_indices(idx, gens)
+        assert got.tolist() == expected.tolist()
+        assert got.size == 120
+        assert len(set(idx.arr[got, 0].tolist())) == 6
+
+    def test_dihedral_at_index_3_in_s4(self):
+        idx = _sym_index(4)
+        got, expected = closed_indices(idx, [perm((0, 1, 2, 3), degree=4), perm((0, 2), degree=4)])
+        assert got.tolist() == expected.tolist()
+        assert got.size == 8
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_parity_vector_matches_is_even(self, n):
+        idx = _sym_index(n)
+        assert idx.even.tolist() == [idx.permutation(x).is_even() for x in range(idx.size)]
+        with pytest.raises(ValueError, match="read-only"):
+            idx.even[0] = False
+
+
+class TestIndexMaps:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_each_map_is_the_products_it_names(self, n):
+        idx = _sym_index(n)
+        perms = [idx.permutation(x) for x in range(idx.size)]
+        index = {p: x for x, p in enumerate(perms)}
+        for e, g in enumerate(perms):
+            # x -> g x (g after x), x -> g x g^-1 and x -> x g (x after g),
+            # with p * q applying p first.
+            expected = {
+                idx.product_map: [index[p * g] for p in perms],
+                idx.conjugation_map: [index[p.conjugated_by(g)] for p in perms],
+                idx.coset_map: [index[g * p] for p in perms],
+            }
+            for build, images in expected.items():
+                got = build(e)
+                assert got.dtype == np.uint16
+                assert got.tolist() == images
+                assert build(e) is got
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = 0

@@ -402,6 +402,11 @@ class TestAutomorphisms:
         for q in (t3, q3, dihedral_quandle(6)):
             assert q.inner_group().is_subgroup_of(q.automorphism_group())
 
+    def test_is_automorphism_refuses_what_is_not_a_permutation(self, t3):
+        with pytest.raises(TypeError, match="expected a Permutation, not tuple"):
+            t3.is_automorphism((0, 2, 1))
+        assert not t3.is_automorphism(Permutation.identity(4))
+
 
 class TestRelabel:
     def test_relabel_definition(self, q3):
@@ -417,6 +422,10 @@ class TestRelabel:
     def test_relabel_degree_mismatch(self, t3):
         with pytest.raises(ValueError):
             t3.relabel(Permutation.identity(4))
+
+    def test_relabel_refuses_what_is_not_a_permutation(self, t3):
+        with pytest.raises(TypeError, match="expected a Permutation, not tuple"):
+            t3.relabel((0, 1, 2))
 
     @settings(max_examples=40)
     @given(st.permutations(list(range(4))))
@@ -444,6 +453,14 @@ class TestIsomorphism:
 
     def test_different_orders(self, t3):
         assert t3.find_isomorphism(trivial_quandle(4)) is None
+
+    def test_find_isomorphism_refuses_what_is_not_a_quandle(self, t3):
+        with pytest.raises(TypeError, match="expected a Quandle, not list"):
+            t3.find_isomorphism([[0]])
+
+    def test_is_isomorphic_refuses_what_is_not_a_quandle(self, t3):
+        with pytest.raises(TypeError, match="expected a Quandle, not str"):
+            t3.is_isomorphic("x")
 
     def test_is_isomorphic_has_no_order_bound(self):
         # The S_n index stops at order 8; the isomorphism search does not use it.
