@@ -19,12 +19,18 @@ it is built, and semidisjoint_union's Quandle check of the composed table
 asserts that equivalence.  In the other direction, decompose splits any
 quandle into its inner orbits and reads the homs off the symmetry columns;
 composing the result reproduces the input table bit for bit.
+
+Each result is built and checked once and kept: the decomposition of a
+quandle in that quandle's cache, and the reassembled quandle in its
+Decomposition.  So decompose's postcondition builds the quandle that
+DecompositionTree.replay returns.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .augment import GammaHom, check_gamma_hom, trivial_hom
@@ -231,7 +237,15 @@ class Decomposition:
         return self.mesh.blocks
 
     def reassemble(self) -> Quandle:
-        """Compose the mesh with each point placed by the layout."""
+        """Compose the mesh with each point placed by the layout.
+
+        The reassembled quandle is built and validated once per Decomposition
+        object and kept; a result of dataclasses.replace starts without it.
+        """
+        return self._reassembled
+
+    @cached_property
+    def _reassembled(self) -> Quandle:
         return Quandle(_composed_table(self.mesh.blocks, self.mesh.homs, self.layout))
 
 
@@ -303,7 +317,11 @@ class DecompositionTree:
         return [leaf for child in self.children for leaf in child.leaves()]
 
     def replay(self) -> Quandle:
-        """Rebuild the quandle bottom-up from the leaves."""
+        """Rebuild the quandle bottom-up from the leaves.
+
+        Each level checks its rebuilt blocks against its decomposition and
+        returns that decomposition's reassembled quandle, built once.
+        """
         if self.decomposition is None:
             return self.quandle
         rebuilt = [child.replay() for child in self.children]

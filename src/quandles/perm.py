@@ -176,13 +176,16 @@ def _close(generators: Sequence[tuple[int, ...]], degree: int) -> set[tuple[int,
     """Image tuples of the group the generators' image tuples generate (breadth-first)."""
     identity = tuple(range(degree))
     elements = {identity}
+    if degree == 1:  # S_1 is trivial, and itemgetter of one index returns a scalar
+        return elements
     frontier = [identity]
     cap = math.factorial(degree)
     while frontier:
         step = []
         for x in frontier:
+            times_x = operator.itemgetter(*x)  # g -> x * g, read as g[x[0]], g[x[1]], ...
             for g in generators:
-                y = tuple([g[v] for v in x])  # x * g
+                y = times_x(g)
                 if y not in elements:
                     elements.add(y)
                     step.append(y)
@@ -196,7 +199,7 @@ def generate_group(generators: Iterable[Permutation], degree: int) -> "PermGroup
     """The subgroup of S_degree generated; the trivial group for no generators."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    gens = sorted(set(generators))
+    gens = _distinct_sorted(generators)
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != group degree {degree}")
@@ -204,14 +207,30 @@ def generate_group(generators: Iterable[Permutation], degree: int) -> "PermGroup
     return PermGroup(degree, tuple(gens), tuple(map(Permutation, elements)))
 
 
+_IMAGES = operator.attrgetter("images")
+_identity = lru_cache(maxsize=None)(Permutation.identity)
+
+
+def _distinct_sorted(perms: Iterable[Permutation]) -> list[Permutation]:
+    """sorted(set(perms)), deduplicated and ordered on the image tuples themselves.
+
+    The generated __hash__ and __lt__ build the 1-tuple (images,) on every
+    call; Permutation order is the order of that 1-tuple, so the list is the same.
+    """
+    return sorted({p.images: p for p in perms}.values(), key=_IMAGES)
+
+
 @dataclass(frozen=True, eq=False)
 class PermGroup:
     """A subgroup of S_n with its element list fully materialized and sorted.
 
-    Build instances with generate_group or PermGroup.from_elements; the
-    constructor itself trusts its arguments.  Equality and hashing ignore
-    the generators (a field(compare=False) would clash with __slots__), so
-    equal groups are equal element sets.
+    Build instances with generate_group or PermGroup.from_elements.  The
+    constructor refuses, in O(|G|), a degree that is not an int, an element
+    or generator that is not a Permutation of that degree, an element list
+    without the identity, and a generator that is not an element; it trusts
+    that the elements are distinct and closed under composition.  Equality
+    and hashing ignore the generators (a field(compare=False) would clash
+    with __slots__), so equal groups are equal element sets.
     """
 
     __slots__ = ("degree", "generators", "elements", "_members")
@@ -225,11 +244,23 @@ class PermGroup:
         generators: tuple[Permutation, ...],
         elements: tuple[Permutation, ...],
     ):
-        elements = tuple(elements)
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "generators", tuple(generators))
+        if type(degree) is not int:  # bools too
+            raise TypeError(f"group degree must be an int, not {type(degree).__name__}")
+        generators, elements = tuple(generators), tuple(elements)
+        for p in generators + elements:
+            if not isinstance(p, Permutation):
+                raise TypeError(f"group members must be Permutations, not {type(p).__name__}")
+            if len(p.images) != degree:
+                raise ValueError(f"permutation degree {len(p.images)} != group degree {degree}")
+        members = frozenset(elements)
+        if not elements or _identity(degree) not in members:
+            raise ValueError("a group needs at least the identity")
+        if not members.issuperset(generators):
+            raise ValueError("a generator is not among the group's elements")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_members", frozenset(elements))
+        object.__setattr__(self, "_members", members)
 
     def __reduce__(self) -> tuple:
         # Frozen slots cannot be restored by setattr, so copies re-run __init__.
@@ -245,7 +276,7 @@ class PermGroup:
 
         The set is re-closed as a sanity check; a non-closed set raises.
         """
-        elems = sorted(set(elements))
+        elems = _distinct_sorted(elements)
         if not elems:
             raise ValueError("a group needs at least the identity")
         for e in elems:

@@ -18,9 +18,9 @@ A Quandle is immutable, so each structure derived from its table is built
 at most once per object and kept in its private cache: the symmetries, the
 inner group, the orbits, the point signatures, the automorphism group, the
 canonical form, and the orbit decomposition (stored there by
-decompose.decompose).  Methods returning lists return fresh copies.  Copies
-and unpickled quandles are rebuilt through the constructor and start with an
-empty cache.
+decompose.decompose), which in turn keeps the reassembled quandle.  Methods
+returning lists return fresh copies.  Copies and unpickled quandles are
+rebuilt through the constructor and start with an empty cache.
 
 The canonical form is the least relabeled table, compared in row-major
 order, found by branch and bound over lazily assigned labels.
@@ -327,7 +327,8 @@ class Quandle:
         Backtracking over point images, pruned by matching each point's
         invariants (cycle type of its symmetry, orbit size).  Each cell
         (a, b) is checked once, when the last of a, b and a > b gets its
-        image, so a full assignment is an isomorphism.
+        image, so a full assignment is an isomorphism.  The cell check is a
+        flat loop over the (a, b, a > b) triples of the level.
         """
         if self.order != other.order:
             return
@@ -337,10 +338,13 @@ class Quandle:
         if sorted(sig_self) != sorted(sig_other):
             return
         t, u = self.table, other.table
-        # cells[x]: the cells (a, b) for which x is the last of a, b, a > b.
-        cells: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # cells[x]: the cells (a, b, a > b) for which x is the last of a, b, a > b.
+        cells: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for a, b in itertools.product(range(n), repeat=2):
-            cells[max(a, b, t[a][b])].append((a, b))
+            c = t[a][b]
+            cells[max(a, b, c)].append((a, b, c))
+        # candidates[x]: the images with x's invariants, in increasing order.
+        candidates = [[y for y in range(n) if sig_other[y] == sig] for sig in sig_self]
         s: list[int] = []
         used = [False] * n
 
@@ -348,11 +352,15 @@ class Quandle:
             if x == n:
                 yield Permutation(tuple(s))
                 return
-            for image in range(n):
-                if used[image] or sig_self[x] != sig_other[image]:
+            checks = cells[x]
+            for image in candidates[x]:
+                if used[image]:
                     continue
                 s.append(image)
-                if all(u[s[a]][s[b]] == s[t[a][b]] for a, b in cells[x]):
+                for a, b, c in checks:
+                    if u[s[a]][s[b]] != s[c]:
+                        break
+                else:
                     used[image] = True
                     yield from extend(x + 1)
                     used[image] = False

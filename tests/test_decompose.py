@@ -10,6 +10,7 @@ it.  Acceptance runs the large randomized version; here the profile
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -340,6 +341,16 @@ class TestDecompose:
                 decompose(q3)
         assert decompose(q3).reassemble() == q3
 
+    def test_reassembled_once_per_decomposition(self, q3, validated):
+        dec = decompose(q3)
+        validated.clear()
+        assert dec.reassemble() is dec.reassemble()
+        assert validated == []
+        # A replaced decomposition builds and validates its own.
+        fresh = dataclasses.replace(dec)
+        assert fresh.reassemble() == q3 and fresh.reassemble() is not dec.reassemble()
+        assert validated == [q3.table]
+
     def test_none_diagonal_holds_the_blocks_own_symmetries(self, t3, q3):
         mesh = Mesh([t3, q3], [[None, trivial_hom(t3, q3)], [trivial_hom(q3, t3), None]])
         for i, block in enumerate(mesh.blocks):
@@ -385,9 +396,12 @@ class TestDecompositionTree:
         glued = disjoint_union([t3, trivial_quandle(1)])
         decompose(glued)
         validated.clear()
-        assert decomposition_tree(glued).depth() == 1
+        tree = decomposition_tree(glued)
+        assert tree.depth() == 1
+        assert tree.replay() is decompose(glued).reassemble()
         assert validated == []
-        # With every level decomposed beforehand, no level builds a table again.
+        # With every level decomposed beforehand, no level builds a table
+        # again, and replay reuses what decompose's postconditions built.
         for q in (q3, trivial_quandle(3)):
             for block in decompose(q).blocks:
                 decompose(block)
@@ -395,6 +409,7 @@ class TestDecompositionTree:
             tree = decomposition_tree(q)
             assert validated == []
             assert tree.replay() == q
+            assert validated == []
 
 
 def _pickle_round_trip(obj):

@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -312,6 +313,113 @@ class TestGenerateGroup:
         assert twin == g and hash(twin) == hash(g)
         assert twin.generators == g.generators
         assert all(p in twin for p in g)
+
+
+class TestPermGroupRefusals:
+    """The constructor's O(|G|) checks; closure itself stays trusted."""
+
+    def group(self):
+        return generate_group([perm((0, 1), degree=3)], 3)
+
+    @pytest.mark.parametrize("degree", [3.0, "3", True, None])
+    def test_degree_that_is_not_an_int(self, degree):
+        g = self.group()
+        with pytest.raises(TypeError, match="degree must be an int"):
+            PermGroup(degree, g.generators, g.elements)
+
+    def test_element_that_is_not_a_permutation(self):
+        with pytest.raises(TypeError, match="must be Permutations, not tuple"):
+            PermGroup(3, (), ((0, 1, 2),))
+
+    def test_generator_that_is_not_a_permutation(self):
+        with pytest.raises(TypeError, match="must be Permutations, not int"):
+            PermGroup(3, (1,), ())
+
+    def test_element_of_another_degree(self):
+        with pytest.raises(ValueError, match="permutation degree 2 != group degree 3"):
+            PermGroup(3, (), (Permutation.identity(3), Permutation.identity(2)))
+
+    def test_generator_of_another_degree(self):
+        with pytest.raises(ValueError, match="permutation degree 4 != group degree 3"):
+            PermGroup(3, (Permutation.identity(4),), (Permutation.identity(3),))
+
+    def test_empty_element_list(self):
+        with pytest.raises(ValueError, match="at least the identity"):
+            PermGroup(3, (), ())
+        with pytest.raises(ValueError, match="at least the identity"):
+            dataclasses.replace(self.group(), elements=())
+
+    def test_element_list_without_the_identity(self):
+        with pytest.raises(ValueError, match="at least the identity"):
+            PermGroup(3, (), (perm((0, 1), degree=3),))
+
+    def test_generator_that_is_not_an_element(self):
+        g = self.group()
+        with pytest.raises(ValueError, match="not among the group's elements"):
+            PermGroup(3, (perm((1, 2), degree=3),), g.elements)
+        with pytest.raises(ValueError, match="not among the group's elements"):
+            dataclasses.replace(g, elements=(Permutation.identity(3),))
+
+    def test_replace_keeps_a_valid_group(self):
+        g = self.group()
+        assert dataclasses.replace(g) == g
+        assert dataclasses.replace(g, generators=()).generators == ()
+
+
+def breadth_first_closure(gens, degree):
+    """The group generated, by multiplying on the right by generators until nothing is new."""
+    elements = {Permutation.identity(degree)}
+    frontier = list(elements)
+    while frontier:
+        fresh = {x * g for x in frontier for g in gens} - elements
+        elements |= fresh
+        frontier = list(fresh)
+    return elements
+
+
+def reference_generate_group(generators, degree):
+    """(generators, elements) as sorted(set(...)) of the Permutations gives them."""
+    gens = sorted(set(generators))
+    return tuple(gens), tuple(sorted(breadth_first_closure(gens, degree)))
+
+
+def reference_from_elements(elements, degree):
+    """(generators, elements) by the greedy scan over sorted(set(elements))."""
+    elems = sorted(set(elements))
+    gens, reached = [], {Permutation.identity(degree)}
+    for e in elems:
+        if e not in reached:
+            gens.append(e)
+            reached = breadth_first_closure(gens, degree)
+    return tuple(gens), tuple(elems)
+
+
+class TestImageTupleOrder:
+    """generate_group and from_elements dedup and sort on image tuples.
+
+    They must give what sorted(set(...)) of the Permutations gives.
+    """
+
+    def assert_matches_references(self, perms, degree):
+        g = generate_group(perms, degree)
+        assert (g.generators, g.elements) == reference_generate_group(perms, degree)
+        h = PermGroup.from_elements(g.elements[::-1] + g.elements[:2], degree)
+        assert (h.generators, h.elements) == reference_from_elements(g.elements, degree)
+
+    def test_inner_and_automorphism_groups_of_the_census(self, censuses):
+        for n in range(1, 6):
+            for q in censuses.brute(n).tables:
+                self.assert_matches_references(q.symmetries(), n)
+                self.assert_matches_references(q.automorphism_group().generators, n)
+
+    def test_random_generator_lists_on_s5(self):
+        rng = random.Random(1805)
+        perms = all_perms(5)
+        for _ in range(40):
+            gens = rng.sample(perms, rng.randint(1, 3))
+            gens += rng.choices(gens, k=rng.randint(1, 3))  # duplicates, out of order
+            rng.shuffle(gens)
+            self.assert_matches_references(gens, 5)
 
 
 class TestGroupStructure:

@@ -479,6 +479,20 @@ class TestIsomorphism:
             ]
             assert q.find_isomorphism(target) == min(witnesses)
 
+    def test_every_isomorphism_in_lexicographic_order(self, censuses):
+        # The search yields exactly the lex-ordered filter of all n! permutations.
+        rng = random.Random(1806)
+        for n in range(1, 5):
+            classes = censuses.brute(n).tables
+            relabeled = [_seeded_relabeling(q, rng) for q in classes]
+            for a, b in itertools.product(list(classes) + relabeled, relabeled):
+                expected = [
+                    Permutation(images)
+                    for images in itertools.permutations(range(n))
+                    if a.relabel(Permutation(images)) == b
+                ]
+                assert list(a._isomorphisms(b)) == expected
+
     def test_canonical_form_members(self, t3):
         assert trivial_quandle(3).canonical_form() == trivial_quandle(3)
         assert t3.canonical_form() == t3
