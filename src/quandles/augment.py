@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .perm import Permutation, _as_point
-from .quandle import Quandle
+from .quandle import Quandle, _check_type
 
 __all__ = [
     "GammaHom",
@@ -58,7 +58,8 @@ class GammaHom:
     """Generator assignment x -> assignment[x], one permutation per source point.
 
     target is the quandle the images act on, so every image has degree
-    target.order.  Construct through validate_gamma_hom unless the data is
+    target.order.  A source, target or image of the wrong type raises
+    TypeError.  Construct through validate_gamma_hom unless the data is
     known-good.
     """
 
@@ -67,7 +68,11 @@ class GammaHom:
     assignment: tuple[Permutation, ...]
 
     def __post_init__(self) -> None:
+        _check_type(self.source, Quandle)
+        _check_type(self.target, Quandle)
         object.__setattr__(self, "assignment", tuple(self.assignment))
+        for p in self.assignment:
+            _check_type(p, Permutation)
         if len(self.assignment) != self.source.order:
             raise ValueError(
                 f"assignment length {len(self.assignment)} != source order {self.source.order}"

@@ -36,7 +36,7 @@ from typing import Sequence
 from .augment import GammaHom, check_gamma_hom, trivial_hom
 from .config import ensure
 from .perm import Permutation
-from .quandle import Quandle
+from .quandle import Quandle, _check_type
 
 __all__ = [
     "Mesh",
@@ -97,9 +97,10 @@ class Mesh:
     A None diagonal entry is filled with the block's symmetries, the very
     Permutation objects the block caches, and a given one must equal them;
     no off-diagonal entry may be None.  The first failure is raised,
-    witnesses least in scan order: shape, each entry's source and target,
-    the diagonals, each off-diagonal hom, then the interchange law, all
-    Condition 1 triples before any Condition 2 triple.
+    witnesses least in scan order: the blocks' types (TypeError), shape,
+    each entry's type (TypeError), source and target, the diagonals, each
+    off-diagonal hom, then the interchange law, all Condition 1 triples
+    before any Condition 2 triple.
     """
 
     blocks: tuple[Quandle, ...]
@@ -107,6 +108,8 @@ class Mesh:
 
     def __post_init__(self) -> None:
         blocks = tuple(self.blocks)
+        for b in blocks:
+            _check_type(b, Quandle)
         if not blocks:
             raise ValueError("a mesh needs at least one block")
         k = len(blocks)
@@ -128,6 +131,7 @@ class Mesh:
             entry = homs[i][j]
             if entry is None:
                 raise ValueError(f"off-diagonal hom ({i}, {j}) may not be omitted")
+            _check_type(entry, GammaHom)
             if entry.source != blocks[i]:
                 raise ValueError(f"hom ({i}, {j}) source is not block {i}")
             if entry.target != blocks[j]:
@@ -221,14 +225,16 @@ class Decomposition:
     """A quandle expressed as the semidisjoint union of its inner orbits.
 
     layout[g] = (block index, local index) places each original point; the
-    blocks are the orbits in order of least element, each sorted.  A layout
-    that does not place every block point exactly once raises ValueError.
+    blocks are the orbits in order of least element, each sorted.  A mesh
+    that is not a Mesh raises TypeError, and a layout that does not place
+    every block point exactly once raises ValueError.
     """
 
     mesh: Mesh
     layout: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _check_type(self.mesh, Mesh)
         if sorted(self.layout) != list(_block_order(self.mesh.blocks)):
             raise ValueError("layout does not match the mesh block sizes")
 

@@ -20,7 +20,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -199,28 +199,35 @@ def generate_group(generators: Iterable[Permutation], degree: int) -> "PermGroup
     """The subgroup of S_degree generated; the trivial group for no generators."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    gens = _distinct_sorted(generators)
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} != group degree {degree}")
+    gens = _distinct_sorted(generators, degree)
     elements = sorted(_close([g.images for g in gens], degree))
     return PermGroup(degree, tuple(gens), tuple(map(Permutation, elements)))
 
 
 _IMAGES = operator.attrgetter("images")
-_identity = lru_cache(maxsize=None)(Permutation.identity)
 
 
-def _distinct_sorted(perms: Iterable[Permutation]) -> list[Permutation]:
-    """sorted(set(perms)), deduplicated and ordered on the image tuples themselves.
+def _check_members(perms: Iterable[object], degree: int) -> None:
+    """TypeError unless each is a Permutation, ValueError unless it has this degree."""
+    for p in perms:
+        if not isinstance(p, Permutation):
+            raise TypeError(f"group members must be Permutations, not {type(p).__name__}")
+        if len(p.images) != degree:
+            raise ValueError(f"permutation degree {len(p.images)} != group degree {degree}")
+
+
+def _distinct_sorted(perms: Iterable[Permutation], degree: int) -> list[Permutation]:
+    """sorted(set(perms)) of checked members, deduplicated and ordered on the image tuples.
 
     The generated __hash__ and __lt__ build the 1-tuple (images,) on every
     call; Permutation order is the order of that 1-tuple, so the list is the same.
     """
+    perms = tuple(perms)
+    _check_members(perms, degree)
     return sorted({p.images: p for p in perms}.values(), key=_IMAGES)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PermGroup:
     """A subgroup of S_n with its element list fully materialized and sorted.
 
@@ -229,41 +236,31 @@ class PermGroup:
     or generator that is not a Permutation of that degree, an element list
     without the identity, and a generator that is not an element; it trusts
     that the elements are distinct and closed under composition.  Equality
-    and hashing ignore the generators (a field(compare=False) would clash
-    with __slots__), so equal groups are equal element sets.
+    and hashing ignore the generators, so equal groups are equal element sets.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_members")
     degree: int
-    generators: tuple[Permutation, ...]
+    generators: tuple[Permutation, ...] = field(compare=False)
     elements: tuple[Permutation, ...]
 
-    def __init__(
-        self,
-        degree: int,
-        generators: tuple[Permutation, ...],
-        elements: tuple[Permutation, ...],
-    ):
+    def __post_init__(self) -> None:
+        degree = self.degree
         if type(degree) is not int:  # bools too
             raise TypeError(f"group degree must be an int, not {type(degree).__name__}")
-        generators, elements = tuple(generators), tuple(elements)
-        for p in generators + elements:
-            if not isinstance(p, Permutation):
-                raise TypeError(f"group members must be Permutations, not {type(p).__name__}")
-            if len(p.images) != degree:
-                raise ValueError(f"permutation degree {len(p.images)} != group degree {degree}")
-        members = frozenset(elements)
-        if not elements or _identity(degree) not in members:
+        generators, elements = tuple(self.generators), tuple(self.elements)
+        _check_members(generators + elements, degree)
+        # Image tuples, not Permutations: their hash builds no 1-tuple per element.
+        members = frozenset(e.images for e in elements)
+        if tuple(range(degree)) not in members:
             raise ValueError("a group needs at least the identity")
-        if not members.issuperset(generators):
+        if not members.issuperset(g.images for g in generators):
             raise ValueError("a generator is not among the group's elements")
-        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_members", members)
 
     def __reduce__(self) -> tuple:
-        # Frozen slots cannot be restored by setattr, so copies re-run __init__.
+        # Copies and unpickling go back through the checks in __post_init__.
         return PermGroup, (self.degree, self.generators, self.elements)
 
     @classmethod
@@ -276,12 +273,9 @@ class PermGroup:
 
         The set is re-closed as a sanity check; a non-closed set raises.
         """
-        elems = _distinct_sorted(elements)
+        elems = _distinct_sorted(elements, degree)
         if not elems:
             raise ValueError("a group needs at least the identity")
-        for e in elems:
-            if e.degree != degree:
-                raise ValueError(f"element degree {e.degree} != group degree {degree}")
         gens: list[Permutation] = []
         current = {tuple(range(degree))}
         for e in elems:
@@ -298,16 +292,8 @@ class PermGroup:
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self._members
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PermGroup):
-            return NotImplemented
-        return self.degree == other.degree and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
+    def __contains__(self, p: object) -> bool:
+        return isinstance(p, Permutation) and p.images in self._members
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={len(self.elements)})"

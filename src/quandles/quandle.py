@@ -157,8 +157,8 @@ class Quandle:
 
     The constructor validates all three axioms and raises ValueError naming
     the first violation; use axiom_violations directly to collect all of
-    them from a raw table.  Equality compares the table only; the cache is
-    a slot, not a field.
+    them from a raw table.  Equality and hashing use the table only; the
+    cache is a slot, not a field.
     """
 
     __slots__ = ("table", "_cache")
@@ -191,9 +191,6 @@ class Quandle:
     def op(self, x: int, y: int) -> int:
         """x > y."""
         return self.table[_as_point(x, self.order)][_as_point(y, self.order)]
-
-    def __hash__(self) -> int:
-        return hash(self.table)
 
     def __repr__(self) -> str:
         return f"Quandle(order={self.order})"

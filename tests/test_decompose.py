@@ -145,6 +145,26 @@ class TestValidateMesh:
             with pytest.raises(ValueError, match=r"off-diagonal hom \(0, 1\) may not be omitted"):
                 build([t3, t3], [[None, None], [None, None]])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda q: GammaHom(q, q, (1, 2, 0)), "expected a Permutation, not int"),
+            (lambda q: GammaHom([[0]], q, q.symmetries()), "expected a Quandle, not list"),
+            (lambda q: GammaHom(q, [[0]], q.symmetries()), "expected a Quandle, not list"),
+            (lambda q: Mesh(([[0]],), ((None,),)), "expected a Quandle, not list"),
+            (lambda q: is_valid_mesh(([[0]],), ((None,),)), "expected a Quandle, not list"),
+            (lambda q: Mesh((q, q), ((None, 5), (trivial_hom(q, q), None))),
+             "expected a GammaHom, not int"),
+            (lambda q: Mesh((q,), ((5,),)), "expected a GammaHom, not int"),
+            (lambda q: Decomposition(5, ()), "expected a Mesh, not int"),
+        ],
+        ids=["hom image", "hom source", "hom target", "mesh block", "is_valid_mesh block",
+             "mesh off-diagonal hom", "mesh diagonal hom", "decomposition mesh"],
+    )
+    def test_wrong_types_raise_type_error(self, t3, build, message):
+        with pytest.raises(TypeError, match=message):
+            build(t3)
+
     def test_wrong_source_rejected(self, t3, q3):
         stray = trivial_hom(q3, t3)
         with pytest.raises(ValueError):

@@ -292,6 +292,20 @@ class TestGenerateGroup:
         assert h.is_subgroup_of(s3)
         assert not s3.is_subgroup_of(h)
 
+    def test_membership_needs_a_permutation_of_the_degree(self):
+        s3 = generate_group([perm((0, 1), degree=3), perm((1, 2), degree=3)], 3)
+        assert Permutation.identity(3) in s3
+        for outsider in ((0, 1, 2), [0, 1, 2], Permutation.identity(2), Permutation.identity(4)):
+            assert outsider not in s3
+
+    def test_equality_and_hash_ignore_the_generators(self):
+        s3 = generate_group([perm((0, 1), degree=3), perm((1, 2), degree=3)], 3)
+        other = PermGroup(3, (perm((0, 1, 2), degree=3), perm((0, 2), degree=3)), s3.elements)
+        assert other.generators != s3.generators
+        assert other == s3 and hash(other) == hash(s3)
+        assert len({s3, other}) == 1
+        assert s3 != generate_group([perm((0, 1), degree=3)], 3)
+
     def test_immutable(self):
         g = generate_group([perm((0, 1), degree=3)], 3)
         for name in ("degree", "generators", "elements", "_members", "extra"):
@@ -359,6 +373,17 @@ class TestPermGroupRefusals:
             PermGroup(3, (perm((1, 2), degree=3),), g.elements)
         with pytest.raises(ValueError, match="not among the group's elements"):
             dataclasses.replace(g, elements=(Permutation.identity(3),))
+
+    @pytest.mark.parametrize("build", [generate_group, PermGroup.from_elements])
+    def test_builders_check_each_member(self, build):
+        with pytest.raises(TypeError, match="must be Permutations, not tuple"):
+            build([(0, 1)], 2)
+        with pytest.raises(ValueError, match="permutation degree 2 != group degree 3"):
+            build([Permutation.identity(2)], 3)
+
+    def test_from_no_elements(self):
+        with pytest.raises(ValueError, match="at least the identity"):
+            PermGroup.from_elements([], 3)
 
     def test_replace_keeps_a_valid_group(self):
         g = self.group()
