@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .config import check_type
 from .perm import Permutation, _as_point
-from .quandle import Quandle, _check_type
+from .quandle import Quandle
 
 __all__ = [
     "GammaHom",
@@ -68,11 +69,11 @@ class GammaHom:
     assignment: tuple[Permutation, ...]
 
     def __post_init__(self) -> None:
-        _check_type(self.source, Quandle)
-        _check_type(self.target, Quandle)
+        check_type(self.source, Quandle)
+        check_type(self.target, Quandle)
         object.__setattr__(self, "assignment", tuple(self.assignment))
         for p in self.assignment:
-            _check_type(p, Permutation)
+            check_type(p, Permutation)
         if len(self.assignment) != self.source.order:
             raise ValueError(
                 f"assignment length {len(self.assignment)} != source order {self.source.order}"
@@ -133,11 +134,14 @@ def validate_gamma_hom(
 
 def canonical_hom(q: Quandle) -> GammaHom:
     """The hom from q's own augmentation group sending each generator to its symmetry."""
+    check_type(q, Quandle)
     return validate_gamma_hom(q, q, tuple(q.symmetries()))
 
 
 def trivial_hom(source: Quandle, target: Quandle) -> GammaHom:
     """All generators to the identity; valid for any source and target."""
+    check_type(source, Quandle)
+    check_type(target, Quandle)
     identity = Permutation.identity(target.order)
     return GammaHom(source, target, tuple(identity for _ in range(source.order)))
 
@@ -147,6 +151,7 @@ def evaluate(hom: GammaHom, word: Sequence[tuple[int, int]]) -> Permutation:
 
     Factors multiply left-to-right; the empty word maps to the identity.
     """
+    check_type(hom, GammaHom)
     result = Permutation.identity(hom.target_order)
     for point, exponent in word:
         result = result * hom(point) ** exponent

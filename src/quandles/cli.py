@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .config import DEFAULT_MAX_ORDER, BoundError, resolve_bound
+from .config import DEFAULT_MAX_ORDER, BoundError, check_order
 from .decompose import Decomposition, decompose, decomposition_tree, semidisjoint_union
 from .enumeration import enumerate_connected
 from .oracle import enumerate_all
@@ -175,11 +175,9 @@ def _cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def _check_bound(order: int, parser: argparse.ArgumentParser) -> None:
     try:
-        bound = resolve_bound(DEFAULT_MAX_ORDER)
-    except BoundError as exc:
+        check_order(order, DEFAULT_MAX_ORDER)
+    except ValueError as exc:
         parser.error(str(exc))
-    if not 1 <= order <= bound:
-        parser.error(f"--order must be in 1..{bound}")
 
 
 def build_parser() -> argparse.ArgumentParser:

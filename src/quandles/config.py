@@ -1,4 +1,4 @@
-"""Runtime bounds shared by the search-heavy entry points."""
+"""The package's argument rules: the one integer test, type checks, order bounds, postconditions."""
 
 import numbers
 import os
@@ -7,6 +7,18 @@ ENV_MAX_ORDER = "QUANDLE_MAX_ORDER"
 HARD_MAX_ORDER = 8
 # The census order bound when QUANDLE_MAX_ORDER is unset.
 DEFAULT_MAX_ORDER = 6
+
+
+def is_int(value: object) -> bool:
+    """True for a Python or numpy int; False for a bool, a float and anything else."""
+    # The exact type first: plain ints skip the slower abstract-class check.
+    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+
+
+def check_type(value: object, cls: type) -> None:
+    """TypeError unless value is a cls, so a wrong type never fails deep inside."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected a {cls.__name__}, not {type(value).__name__}")
 
 
 class BoundError(ValueError):
@@ -36,10 +48,9 @@ def resolve_bound(default: int) -> int:
 def check_order(n: int, default: int | None = None, noun: str = "order") -> None:
     """Refuse n below 1, or above resolve_bound(default), or HARD_MAX_ORDER without a default.
 
-    A bool or anything that is not an integer is a TypeError, raised before
-    any comparison; numpy ints pass.
+    Whatever is_int refuses is a TypeError, raised before any comparison.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    if not is_int(n):
         raise TypeError(f"{noun} must be an int, not {type(n).__name__}")
     if n < 1:
         raise ValueError(f"{noun} must be at least 1")

@@ -34,9 +34,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .augment import GammaHom, check_gamma_hom, trivial_hom
-from .config import ensure
+from .config import check_type, ensure
 from .perm import Permutation
-from .quandle import Quandle, _check_type
+from .quandle import Quandle
 
 __all__ = [
     "Mesh",
@@ -109,7 +109,7 @@ class Mesh:
     def __post_init__(self) -> None:
         blocks = tuple(self.blocks)
         for b in blocks:
-            _check_type(b, Quandle)
+            check_type(b, Quandle)
         if not blocks:
             raise ValueError("a mesh needs at least one block")
         k = len(blocks)
@@ -131,7 +131,7 @@ class Mesh:
             entry = homs[i][j]
             if entry is None:
                 raise ValueError(f"off-diagonal hom ({i}, {j}) may not be omitted")
-            _check_type(entry, GammaHom)
+            check_type(entry, GammaHom)
             if entry.source != blocks[i]:
                 raise ValueError(f"hom ({i}, {j}) source is not block {i}")
             if entry.target != blocks[j]:
@@ -188,6 +188,7 @@ def semidisjoint_union(mesh: Mesh) -> Quandle:
     mesh was checked when it was built; the composed table is run through
     full quandle validation, which a valid mesh always passes.
     """
+    check_type(mesh, Mesh)
     return Quandle(_composed_table(mesh.blocks, mesh.homs))
 
 
@@ -234,7 +235,7 @@ class Decomposition:
     layout: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _check_type(self.mesh, Mesh)
+        check_type(self.mesh, Mesh)
         if sorted(self.layout) != list(_block_order(self.mesh.blocks)):
             raise ValueError("layout does not match the mesh block sizes")
 
@@ -267,6 +268,7 @@ def decompose(q: Quandle) -> Decomposition:
     among them, return the same Decomposition.  An equal but distinct
     Quandle is decomposed and checked afresh.
     """
+    check_type(q, Quandle)
     if "decomposition" not in q._cache:
         q._cache["decomposition"] = _decompose(q)
     return q._cache["decomposition"]
@@ -343,6 +345,7 @@ def decomposition_tree(q: Quandle) -> DecompositionTree:
     disconnected quandle has at least two orbits, so block orders strictly
     decrease.
     """
+    check_type(q, Quandle)
     if q.is_connected():
         return DecompositionTree(q, None, ())
     dec = decompose(q)

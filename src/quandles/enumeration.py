@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_MAX_ORDER, check_order, ensure
+from .config import DEFAULT_MAX_ORDER, check_order, check_type, ensure
 from .perm import PermGroup, Permutation, generate_group, transitive_subgroups_up_to_conjugacy
 from .quandle import Quandle
 
@@ -96,6 +96,7 @@ def _conjugates(seed: ConnectedSeed) -> list[Permutation]:
 
 def check_generation(seed: ConnectedSeed) -> bool:
     """True iff the rep-conjugates of z generate exactly the seed group."""
+    check_type(seed, ConnectedSeed)
     generated = generate_group(_conjugates(seed), seed.order)
     ensure(generated.is_subgroup_of(seed.group), "conjugates of z leave the seed group")
     return len(generated) == len(seed.group)
@@ -131,6 +132,7 @@ def realize(q: Quandle) -> ConnectedSeed:
     back through coset_quandle reproduces q exactly, not just up to
     isomorphism, because the coset of g is determined by g(0).
     """
+    check_type(q, Quandle)
     if not q.is_connected():
         raise NotConnectedError(f"quandle has {len(q.orbits())} orbits, needs exactly 1")
     group = q.inner_group()

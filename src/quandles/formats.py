@@ -14,6 +14,7 @@ import re
 from typing import Any
 
 from .augment import GammaHom
+from .config import is_int
 from .decompose import Decomposition, DecompositionTree, Mesh, validate_mesh
 from .enumeration import CensusEntry
 from .perm import Permutation
@@ -52,17 +53,12 @@ def _require(condition: bool, message: str) -> None:
         raise FormatError(message)
 
 
-def _is_int(value: Any) -> bool:
-    """A JSON integer; booleans are ints to Python but not to the formats."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def perm_to_obj(p: Permutation) -> list[int]:
     return list(p.images)
 
 
 def perm_from_obj(obj: Any) -> Permutation:
-    _require(isinstance(obj, list) and all(_is_int(v) for v in obj),
+    _require(isinstance(obj, list) and all(is_int(v) for v in obj),
              "permutation must be a list of ints")
     try:
         return Permutation(tuple(obj))
@@ -83,7 +79,7 @@ def table_from_obj(obj: Any) -> list[list[int]]:
     _require(isinstance(obj, dict), "quandle must be an object")
     order = obj.get("order")
     table = obj.get("table")
-    _require(_is_int(order) and order >= 1,
+    _require(is_int(order) and order >= 1,
              "quandle needs an integer 'order' >= 1")
     _require(isinstance(table, list) and len(table) == order,
              "'table' must be a list of 'order' rows")
@@ -91,7 +87,7 @@ def table_from_obj(obj: Any) -> list[list[int]]:
     for row in table:
         _require(isinstance(row, list) and len(row) == order,
                  "every table row must be a list of 'order' ints")
-        _require(all(_is_int(v) for v in row),
+        _require(all(is_int(v) for v in row),
                  "table entries must be ints")
         rows.append([int(v) for v in row])
     return rows
@@ -144,9 +140,9 @@ def hom_to_obj(hom: GammaHom) -> dict:
 
 def hom_from_obj(obj: Any, source: Quandle, target: Quandle) -> GammaHom:
     _require(isinstance(obj, dict), "hom must be an object")
-    _require(_is_int(obj.get("source_order")) and obj["source_order"] == source.order,
+    _require(is_int(obj.get("source_order")) and obj["source_order"] == source.order,
              f"hom source_order must be {source.order}")
-    _require(_is_int(obj.get("target_order")) and obj["target_order"] == target.order,
+    _require(is_int(obj.get("target_order")) and obj["target_order"] == target.order,
              f"hom target_order must be {target.order}")
     assignment = obj.get("assignment")
     _require(isinstance(assignment, list) and len(assignment) == source.order,
@@ -210,9 +206,9 @@ def layout_from_obj(obj: Any, order: int) -> tuple[tuple[int, int], ...]:
     pairs = []
     for item in obj:
         _require(isinstance(item, list) and len(item) == 2
-                 and all(_is_int(v) for v in item),
+                 and all(is_int(v) for v in item),
                  "layout entries must be [block, local] int pairs")
-        pairs.append((item[0], item[1]))
+        pairs.append(tuple(map(int, item)))
     return tuple(pairs)
 
 

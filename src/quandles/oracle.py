@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .config import DEFAULT_MAX_ORDER, check_order
+from .config import DEFAULT_MAX_ORDER, check_order, check_type
 from .quandle import Quandle, _cycle_type
 
 __all__ = ["Census", "enumerate_all", "count_connected"]
@@ -61,6 +61,7 @@ class Census:
 
 
 def count_connected(census: Census) -> int:
+    check_type(census, Census)
     return sum(census.connected_flags)
 
 

@@ -49,11 +49,10 @@ point images.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .config import check_order, ensure
+from .config import check_order, check_type, ensure, is_int
 from .perm import PermGroup, Permutation, _as_point, _cycle_type, generate_group
 
 __all__ = [
@@ -128,8 +127,7 @@ def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
         if len(row) != n:
             raise ValueError(f"row {x} has length {len(row)}, expected {n}")
         for y, value in enumerate(row):
-            # int first: it skips the slower abstract-class check for plain ints.
-            if not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool):
+            if not is_int(value):
                 violations.append(RangeViolation(x, y, value))
             elif not 0 <= value < n:
                 violations.append(RangeViolation(x, y, int(value)))
@@ -244,7 +242,7 @@ class Quandle:
 
         The new table satisfies new[sigma(x)][sigma(y)] = sigma(old[x][y]).
         """
-        _check_type(sigma, Permutation)
+        check_type(sigma, Permutation)
         if sigma.degree != self.order:
             raise ValueError(f"permutation degree {sigma.degree} != order {self.order}")
         s, inv = sigma.images, sigma.inverse().images
@@ -262,7 +260,7 @@ class Quandle:
         return Quandle(tuple(tuple(index[self.table[x][y]] for y in pts) for x in pts))
 
     def is_automorphism(self, sigma: Permutation) -> bool:
-        _check_type(sigma, Permutation)
+        check_type(sigma, Permutation)
         if sigma.degree != self.order:
             return False
         t, s, n = self.table, sigma.images, self.order
@@ -292,7 +290,7 @@ class Quandle:
 
     def find_isomorphism(self, other: "Quandle") -> Permutation | None:
         """Lexicographically least sigma with other == self.relabel(sigma), or None."""
-        _check_type(other, Quandle)
+        check_type(other, Quandle)
         return next(self._isomorphisms(other), None)
 
     def _signatures(self) -> list[tuple]:
@@ -455,12 +453,6 @@ def _canonical_table(
         extend(0, best is not None)
         label[x] = point[s] = -1
     return tuple((i,) * n for i in range(s)) + tuple(best or ())
-
-
-def _check_type(value: object, cls: type) -> None:
-    """TypeError unless value is a cls, so a wrong type never fails deep inside."""
-    if not isinstance(value, cls):
-        raise TypeError(f"expected a {cls.__name__}, not {type(value).__name__}")
 
 
 def trivial_quandle(n: int) -> Quandle:

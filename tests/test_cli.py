@@ -335,6 +335,26 @@ class TestUsageAndBounds:
             main(["enumerate", "--order", "0"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("order, env, message", [
+        ("0", None, "order must be at least 1"),
+        ("7", None, "order 7 exceeds the configured bound 6"),
+        ("3", "9", "QUANDLE_MAX_ORDER=9 refused; supported range is 1..8"),
+    ])
+    @pytest.mark.parametrize("verb", ["census", "enumerate"])
+    def test_order_refusals_are_check_orders_messages(
+        self, capsys, monkeypatch, verb, order, env, message
+    ):
+        if env is None:
+            monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+        else:
+            monkeypatch.setenv("QUANDLE_MAX_ORDER", env)
+        with pytest.raises(SystemExit) as info:
+            main([verb, "--order", order])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ["tree", "q3.json"],
         ["enumerate", "--order", "3", "--jobs", "1"],

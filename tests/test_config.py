@@ -1,14 +1,21 @@
-"""The order and degree bounds, decided by config.check_order for every caller."""
+"""The argument rules: config.is_int for every integer, check_order for every order bound."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from quandles.config import HARD_MAX_ORDER, BoundError, check_order
+from quandles.config import HARD_MAX_ORDER, BoundError, check_order, is_int
 from quandles.enumeration import enumerate_connected
 from quandles.oracle import enumerate_all
-from quandles.perm import _sym_index, transitive_subgroups_up_to_conjugacy
+from quandles.perm import (
+    PermGroup,
+    Permutation,
+    _sym_index,
+    _transitive_class_groups,
+    generate_group,
+    transitive_subgroups_up_to_conjugacy,
+)
 from quandles.quandle import dihedral_quandle
 
 
@@ -16,6 +23,40 @@ def message(call, *args) -> tuple[type, str]:
     with pytest.raises(ValueError) as info:
         call(*args)
     return type(info.value), str(info.value)
+
+
+def passes_the_permutation_image_check(value) -> bool:
+    """Whether Permutation's bulk image check lets the value through, range aside."""
+    try:
+        Permutation((value,))
+    except TypeError:
+        return False
+    except ValueError:  # an int that is not a permutation of 0..0
+        pass
+    return True
+
+
+class TestIsInt:
+    @pytest.mark.parametrize("value, expected", [
+        (5, True), (np.int64(5), True), (np.int8(1), True), (True, False),
+        (np.True_, False), (2.0, False), ("3", False), (None, False),
+    ])
+    def test_truth_table_agrees_with_the_permutation_check(self, value, expected):
+        assert is_int(value) is expected
+        assert passes_the_permutation_image_check(value) is expected
+
+    def test_numpy_ints_work_end_to_end(self, monkeypatch):
+        monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+        assert enumerate_connected(np.int64(4)) == enumerate_connected(4)
+        groups = transitive_subgroups_up_to_conjugacy(np.int64(4))
+        # The search itself, past the cache an earlier int call may have filled.
+        uncached = _transitive_class_groups.__wrapped__(np.int64(4))
+        assert groups == list(uncached) == transitive_subgroups_up_to_conjugacy(4)
+        trivial = generate_group([], np.int64(3))
+        built = PermGroup(np.int64(3), (), (Permutation.identity(3),))
+        assert trivial == built == generate_group([], 3)
+        for group in (*uncached, trivial, built):
+            assert type(group.degree) is int
 
 
 class TestCheckOrder:

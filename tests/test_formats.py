@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from quandles.augment import canonical_hom, trivial_hom
@@ -186,6 +187,9 @@ class TestCompositeIO:
         assert obj["layout"] == [[0, 0], [1, 0], [0, 1]]
         layout = layout_from_obj(obj["layout"], 3)
         assert layout == ((0, 0), (1, 0), (0, 1))
+        # numpy ints pass the one integer rule and are stored as ints.
+        from_numpy = layout_from_obj([[np.int64(b), np.int8(x)] for b, x in obj["layout"]], 3)
+        assert from_numpy == layout and {type(v) for pair in from_numpy for v in pair} == {int}
 
     def test_layout_errors(self):
         with pytest.raises(FormatError):

@@ -6,7 +6,22 @@ import dataclasses
 import inspect
 import sys
 
+import pytest
+
 import quandles
+from quandles import (
+    canonical_hom,
+    check_generation,
+    count_connected,
+    coset_quandle,
+    decompose,
+    decomposition_tree,
+    dihedral_quandle,
+    evaluate,
+    realize,
+    semidisjoint_union,
+    trivial_hom,
+)
 
 # quandles.decompose is the function, so the modules come from sys.modules.
 LAYERS = [
@@ -61,3 +76,29 @@ def test_every_public_class_but_the_exceptions_is_a_frozen_dataclass():
     for cls in values:
         assert dataclasses.is_dataclass(cls), cls.__name__
         assert cls.__dataclass_params__.frozen, cls.__name__
+
+
+Q3 = dihedral_quandle(3)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: decompose([[0]]), "Quandle, not list"),
+    (lambda: decomposition_tree(5), "Quandle, not int"),
+    (lambda: semidisjoint_union(5), "Mesh, not int"),
+    (lambda: canonical_hom([[0]]), "Quandle, not list"),
+    (lambda: trivial_hom([[0]], Q3), "Quandle, not list"),
+    (lambda: trivial_hom(Q3, [[0]]), "Quandle, not list"),
+    (lambda: evaluate(5, []), "GammaHom, not int"),
+    (lambda: realize([[0]]), "Quandle, not list"),
+    (lambda: coset_quandle(5), "ConnectedSeed, not int"),
+    (lambda: check_generation(5), "ConnectedSeed, not int"),
+    (lambda: count_connected(5), "Census, not int"),
+], ids=[
+    "decompose", "decomposition_tree", "semidisjoint_union", "canonical_hom",
+    "trivial_hom-source", "trivial_hom-target", "evaluate", "realize", "coset_quandle",
+    "check_generation", "count_connected",
+])
+def test_a_wrongly_typed_argument_is_a_type_error(call, expected):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == f"expected a {expected}"

@@ -133,6 +133,13 @@ class TestPermutation:
         assert p**3_000_001 == p**1
         assert p**-3_000_001 == p.inverse()
         assert p**-7 == p**5
+        assert p ** np.int64(2) == p * p
+
+    @pytest.mark.parametrize("exponent", ["a", True, 2.0, None])
+    def test_pow_needs_an_int_exponent(self, exponent):
+        with pytest.raises(TypeError) as info:
+            perm((0, 1, 2), degree=3) ** exponent
+        assert str(info.value) == f"exponent must be an int, not {type(exponent).__name__}"
 
     def test_conjugated_by(self):
         p = perm((0, 1), degree=3)
@@ -373,6 +380,13 @@ class TestPermGroupRefusals:
             PermGroup(3, (perm((1, 2), degree=3),), g.elements)
         with pytest.raises(ValueError, match="not among the group's elements"):
             dataclasses.replace(g, elements=(Permutation.identity(3),))
+
+    @pytest.mark.parametrize("build", [generate_group, PermGroup.from_elements])
+    @pytest.mark.parametrize("degree", [3.0, "3", True, None])
+    def test_builders_refuse_a_degree_that_is_not_an_int(self, build, degree):
+        with pytest.raises(TypeError) as info:
+            build([Permutation.identity(3)], degree)
+        assert str(info.value) == f"group degree must be an int, not {type(degree).__name__}"
 
     @pytest.mark.parametrize("build", [generate_group, PermGroup.from_elements])
     def test_builders_check_each_member(self, build):
