@@ -60,8 +60,10 @@ class GammaHom:
 
     target is the quandle the images act on, so every image has degree
     target.order.  A source, target or image of the wrong type raises
-    TypeError.  Construct through validate_gamma_hom unless the data is
-    known-good.
+    TypeError.  Beyond types and shapes the assignment is unchecked: a
+    GammaHom may break the relations or send a generator to a non-
+    automorphism, and is_valid, validate_gamma_hom and Mesh judge that.
+    Build through validate_gamma_hom unless the data is known-good.
     """
 
     source: Quandle

@@ -45,13 +45,18 @@ def resolve_bound(default: int) -> int:
     return value
 
 
+def check_int(value: object, noun: str = "order") -> None:
+    """TypeError unless is_int(value), so no comparison ever sees a non-int."""
+    if not is_int(value):
+        raise TypeError(f"{noun} must be an int, not {type(value).__name__}")
+
+
 def check_order(n: int, default: int | None = None, noun: str = "order") -> None:
     """Refuse n below 1, or above resolve_bound(default), or HARD_MAX_ORDER without a default.
 
     Whatever is_int refuses is a TypeError, raised before any comparison.
     """
-    if not is_int(n):
-        raise TypeError(f"{noun} must be an int, not {type(n).__name__}")
+    check_int(n, noun)
     if n < 1:
         raise ValueError(f"{noun} must be at least 1")
     if default is None:

@@ -304,12 +304,27 @@ class DecompositionTree:
 
     A leaf (connected quandle) has decomposition None and no children;
     otherwise children[b] refines block b of the decomposition, taken as a
-    standalone quandle under its own inner group.
+    standalone quandle under its own inner group.  A field of the wrong type
+    raises TypeError; a decomposition or child of another order raises
+    ValueError.  Connectivity is not re-derived.
     """
 
     quandle: Quandle
     decomposition: Decomposition | None
     children: tuple["DecompositionTree", ...]
+
+    def __post_init__(self) -> None:
+        check_type(self.quandle, Quandle)
+        for child in self.children:
+            check_type(child, DecompositionTree)
+        blocks: tuple[Quandle, ...] = ()
+        if self.decomposition is not None:
+            check_type(self.decomposition, Decomposition)
+            if len(self.decomposition.layout) != self.quandle.order:
+                raise ValueError("the decomposition is of another order than the quandle")
+            blocks = self.decomposition.blocks
+        if [c.quandle.order for c in self.children] != [b.order for b in blocks]:
+            raise ValueError("children must match the decomposition's blocks in number and order")
 
     def is_leaf(self) -> bool:
         return self.decomposition is None

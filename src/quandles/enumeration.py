@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_MAX_ORDER, check_order, check_type, ensure
+from .config import DEFAULT_MAX_ORDER, check_int, check_order, check_type, ensure
 from .perm import PermGroup, Permutation, generate_group, transitive_subgroups_up_to_conjugacy
 from .quandle import Quandle
 
@@ -57,6 +57,11 @@ class ConnectedSeed:
     reps: tuple[Permutation, ...]
 
     def __post_init__(self) -> None:
+        check_type(self.group, PermGroup)
+        check_type(self.stabilizer, PermGroup)
+        check_type(self.z, Permutation)
+        for r in self.reps:
+            check_type(r, Permutation)
         n = self.group.degree
         if len(self.group) != len(self.stabilizer) * n:
             raise ValueError("stabilizer index does not equal the degree")
@@ -142,11 +147,27 @@ def realize(q: Quandle) -> ConnectedSeed:
 
 @dataclass(frozen=True)
 class CensusEntry:
-    """One isomorphism class of connected quandles and the seed that produced it."""
+    """One isomorphism class of connected quandles and the seed that produced it.
+
+    A field of the wrong type raises TypeError; a quandle of another order
+    than the seed, or an inner_order other than the seed group's, raises
+    ValueError.  Connectivity is not re-derived.
+    """
 
     quandle: Quandle
     seed: ConnectedSeed
     inner_order: int
+
+    def __post_init__(self) -> None:
+        check_type(self.quandle, Quandle)
+        check_type(self.seed, ConnectedSeed)
+        check_int(self.inner_order, "inner_order")
+        if self.quandle.order != self.seed.order:
+            raise ValueError(f"quandle order {self.quandle.order} != seed order {self.seed.order}")
+        if self.inner_order != len(self.seed.group):
+            raise ValueError(
+                f"inner_order {self.inner_order} != seed group order {len(self.seed.group)}"
+            )
 
 
 def enumerate_connected(n: int) -> list[CensusEntry]:

@@ -15,11 +15,13 @@ leaf is a quandle.
 The census search pins column 0 to the largest cycle type in the table.
 Cycle types are ordered as partitions of n, descending tuples compared
 lexicographically, so the identity is least.  Relabeling a point of
-largest type to 0 puts that type at column 0, and relabeling by a sigma
-that fixes 0 turns S_0 into sigma * S_0 * sigma^-1; so every class has a
-labeling whose S_0 is one chosen permutation per cycle type and no other
-column has a larger type.  With S_0 of type tau pinned, every other point
-is offered only candidate columns of type at most tau.  Forced columns need
+largest type to 0 puts that type at column 0.  Relabeling by a sigma that
+fixes 0 turns S_0 into sigma * S_0 * sigma^-1, and any two permutations
+fixing 0 of one cycle type are conjugate by such a sigma.  So every class
+has a labeling whose S_0 is the pin of its type, the lex-greatest
+permutation fixing 0 of that type, and no other column has a larger type.
+With S_0 of type tau pinned, labeled_tables offers every other point only
+the candidate columns of type at most tau.  Forced columns need
 no filter: S_{b > c} is a conjugate of S_b, so it has S_b's type.  The
 identity pin then yields only the trivial quandle (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  Each leaf is validated
@@ -35,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .config import DEFAULT_MAX_ORDER, check_order, check_type
+from .config import DEFAULT_MAX_ORDER, check_int, check_order, check_type
 from .quandle import Quandle, _cycle_type
 
 __all__ = ["Census", "enumerate_all", "count_connected"]
@@ -43,13 +45,26 @@ __all__ = ["Census", "enumerate_all", "count_connected"]
 
 @dataclass(frozen=True)
 class Census:
-    """All isomorphism classes of one order, canonical forms sorted."""
+    """All isomorphism classes of one order, canonical forms sorted.
+
+    A field of the wrong type raises TypeError; unparallel tuples or a table
+    of another order raise ValueError.  The flags are not re-derived.
+    """
 
     order: int
     tables: tuple[Quandle, ...]
     connected_flags: tuple[bool, ...]
 
     def __post_init__(self) -> None:
+        check_int(self.order)
+        if self.order < 1:
+            raise ValueError("order must be at least 1")
+        for q in self.tables:
+            check_type(q, Quandle)
+            if q.order != self.order:
+                raise ValueError(f"a table of order {q.order} in a census of order {self.order}")
+        for flag in self.connected_flags:
+            check_type(flag, bool)
         if len(self.tables) != len(self.connected_flags):
             raise ValueError("tables and connected_flags must be parallel")
 
@@ -75,125 +90,77 @@ def _column_candidates(n: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
-class _ColumnSearch:
-    """Backtracking over symmetry columns with rack-condition propagation."""
+def _search(
+    n: int,
+    offered: list[list[tuple[int, ...]]],
+    first_column: tuple[int, ...] | None = None,
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Every completed table, point y taking only columns from offered[y].
 
-    def __init__(self, n: int):
-        self.n = n
-        self.columns: list[tuple[int, ...] | None] = [None] * n
-        self.candidates = _column_candidates(n)
-        self.offered = self.candidates
-        self.cycle_types = {c: _cycle_type(c) for c in itertools.chain(*self.candidates)}
-        self.leaves: list[tuple[tuple[int, ...], ...]] = []
+    Backtracks over symmetry columns with rack-condition propagation; with
+    first_column, the column at point 0 is pinned to it.
+    """
+    columns: list[tuple[int, ...] | None] = [None] * n
+    leaves: list[tuple[tuple[int, ...], ...]] = []
 
-    def run(
-        self,
-        first_column: tuple[int, ...] | None = None,
-        largest: tuple[int, ...] | None = None,
-    ) -> list[tuple[tuple[int, ...], ...]]:
-        """Collect all completed tables; optionally pin the column at point 0.
-
-        With largest, every point is offered only the candidate columns of
-        cycle type at most largest.
-        """
-        self.leaves = []
-        self.offered = [
-            [c for c in column if largest is None or self.cycle_types[c] <= largest]
-            for column in self.candidates
-        ]
-        if first_column is None:
-            self._descend(0)
-        else:
-            trail: list[int] = []
-            if self._place(0, first_column, trail):
-                self._descend(1)
-            self._unwind(trail)
-        return self.leaves
-
-    # The trail records which points were assigned by one _place call
-    # (directly or by propagation) so backtracking can undo exactly those.
-
-    def _place(self, y: int, images: tuple[int, ...], trail: list[int]) -> bool:
-        self.columns[y] = images
+    def place(y: int, images: tuple[int, ...], trail: list[int]) -> bool:
+        # The trail records which points this call assigned (directly or by
+        # propagation), so the caller's undo clears exactly those.
+        columns[y] = images
         trail.append(y)
         queue = [y]
         while queue:
             c = queue.pop()
-            for b in range(self.n):
+            for b in range(n):
                 for first, second in ((b, c), (c, b)):
-                    col_second = self.columns[second]
-                    col_first = self.columns[first]
+                    col_second = columns[second]
+                    col_first = columns[first]
                     if col_second is None or col_first is None:
                         continue
                     target = col_second[first]
                     # S_target must equal S_second^-1 * S_first * S_second;
                     # as images: required[x] = S_second(S_first(S_second^-1(x))),
                     # i.e. required[S_second(x)] = S_second(S_first(x)).
-                    required = [0] * self.n
-                    for x in range(self.n):
+                    required = [0] * n
+                    for x in range(n):
                         required[col_second[x]] = col_second[col_first[x]]
                     required_t = tuple(required)
-                    existing = self.columns[target]
+                    existing = columns[target]
                     if existing is None:
                         if required_t[target] != target:
                             return False
-                        self.columns[target] = required_t
+                        columns[target] = required_t
                         trail.append(target)
                         queue.append(target)
                     elif existing != required_t:
                         return False
         return True
 
-    def _unwind(self, trail: list[int]) -> None:
-        for point in trail:
-            self.columns[point] = None
-        trail.clear()
-
-    def _descend(self, y: int) -> None:
-        while y < self.n and self.columns[y] is not None:
+    def descend(y: int) -> None:
+        while y < n and columns[y] is not None:
             y += 1
-        if y == self.n:
-            cols = self.columns
-            table = tuple(tuple(cols[c][x] for c in range(self.n)) for x in range(self.n))
-            self.leaves.append(table)
+        if y == n:
+            leaves.append(tuple(tuple(column[x] for column in columns) for x in range(n)))
             return
-        for images in self.offered[y]:
+        for images in offered[y]:
             trail: list[int] = []
-            if self._place(y, images, trail):
-                self._descend(y + 1)
-            self._unwind(trail)
+            if place(y, images, trail):
+                descend(y + 1)
+            for point in trail:
+                columns[point] = None
 
-
-def _partitions(total: int, largest: int) -> list[tuple[int, ...]]:
-    """Partitions of total into non-increasing parts no larger than largest."""
-    if total == 0:
-        return [()]
-    return [
-        (part, *rest)
-        for part in range(min(total, largest), 0, -1)
-        for rest in _partitions(total - part, part)
-    ]
+    if first_column is None:
+        descend(0)
+    elif place(0, first_column, []):
+        descend(1)
+    return leaves
 
 
 def _cycle_type_columns(n: int) -> list[tuple[int, ...]]:
-    """One permutation fixing 0 per cycle type on 1..n-1, as image tuples.
-
-    Each partition of n-1 becomes consecutive cycles on 1..n-1, largest first.
-    """
-    # Any one permutation per type is sound; this choice is for speed.  The
-    # lex-least permutation fixing 0 of each type (cycles on the highest
-    # points) gives the same 181 leaves and census at order 6, but the column
-    # search takes about 20% longer (0.0080 s against 0.0066 s).
-    columns = []
-    for parts in _partitions(n - 1, n - 1):
-        images = [0] * n
-        start = 1
-        for size in parts:
-            for k in range(size):
-                images[start + k] = start + (k + 1) % size
-            start += size
-        columns.append(tuple(images))
-    return columns
+    """One permutation fixing 0 per cycle type, as image tuples: the lex-greatest of each."""
+    # Any one permutation per type is sound; the lex-least pins make the column
+    # search about 30% slower at order 7 and 60% slower at order 8.
+    return list({_cycle_type(c): c for c in itertools.permutations(range(n)) if c[0] == 0}.values())
 
 
 def labeled_tables(
@@ -205,13 +172,16 @@ def labeled_tables(
     fixing 0), only the tables whose column at 0 is one of them and has the
     largest cycle type of any column.
     """
-    if n == 1:
-        return [((0,),)]
-    search = _ColumnSearch(n)
+    candidates = _column_candidates(n)
     if first_columns is None:
-        tables = search.run()
+        tables = _search(n, candidates)
     else:
-        tables = [t for first in first_columns for t in search.run(first, _cycle_type(first))]
+        types = {c: _cycle_type(c) for c in itertools.permutations(range(n))}
+        tables = []
+        for first in first_columns:
+            pin = types[first]
+            offered = [[c for c in column if types[c] <= pin] for column in candidates]
+            tables += _search(n, offered, first)
     tables.sort()
     return tables
 
@@ -219,12 +189,12 @@ def labeled_tables(
 def enumerate_all(n: int) -> Census:
     """Census of all quandles of order n up to isomorphism.
 
-    Searches only the labelings whose column 0 is a cycle-type
-    representative of the largest type in the table and validates each.
-    Labelings are bucketed by the sorted cycle types of their columns, and
-    one is kept unless it is isomorphic to a class already in its bucket;
-    each class gets one canonical form.  The default bound of 6 follows
-    QUANDLE_MAX_ORDER; order 7 searches 1405 labelings.
+    Searches only the labelings whose column 0 is the pin of the largest
+    cycle type in the table and validates each.  Labelings are bucketed by
+    the sorted cycle types of their columns, and one is kept unless it is
+    isomorphic to a class already in its bucket; each class gets one
+    canonical form.  The default bound of 6 follows QUANDLE_MAX_ORDER;
+    order 7 searches 1405 labelings.
     """
     check_order(n, DEFAULT_MAX_ORDER)
     buckets: dict[tuple[tuple[int, ...], ...], list[Quandle]] = {}

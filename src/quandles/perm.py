@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import check_order, ensure, is_int
+from .config import check_int, check_order, check_type, ensure, is_int
 
 __all__ = [
     "Permutation",
@@ -69,11 +69,13 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
+        check_int(degree, "degree")
         return cls(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
         """Permutation sending a -> b for consecutive entries of each cycle."""
+        check_int(degree, "degree")
         images = list(range(degree))
         for cycle in cycles:
             points = [_as_point(point, degree) for point in cycle]
@@ -92,8 +94,7 @@ class Permutation:
         return compose(self, other)
 
     def __pow__(self, exponent: int) -> "Permutation":
-        if not is_int(exponent):
-            raise TypeError(f"exponent must be an int, not {type(exponent).__name__}")
+        check_int(exponent, "exponent")
         result = Permutation.identity(self.degree)
         for _ in range(exponent % math.lcm(*self.cycle_type())):
             result = result * self
@@ -168,6 +169,8 @@ def _as_point(point: object, degree: int) -> int:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Left-to-right composition: apply p, then q."""
+    check_type(p, Permutation)
+    check_type(q, Permutation)
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
     return Permutation(tuple(q.images[v] for v in p.images))
@@ -211,8 +214,7 @@ _IMAGES = operator.attrgetter("images")
 
 def _group_degree(degree: object) -> int:
     """The degree as an int; TypeError for a bool or anything that is not an integer."""
-    if not is_int(degree):
-        raise TypeError(f"group degree must be an int, not {type(degree).__name__}")
+    check_int(degree, "group degree")
     return int(degree)
 
 

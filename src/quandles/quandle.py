@@ -52,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .config import check_order, check_type, ensure, is_int
+from .config import check_int, check_order, check_type, ensure, is_int
 from .perm import PermGroup, Permutation, _as_point, _cycle_type, generate_group
 
 __all__ = [
@@ -119,9 +119,12 @@ def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
     """Every axiom failure in the table, in a fixed scan order.
 
     Range errors are reported first; structural axioms are only checked on
-    in-range tables so the checks cannot raise.
+    in-range tables so the checks cannot raise.  An empty or ragged table is
+    not a table of any order and raises ValueError.
     """
     n = len(table)
+    if not n:
+        raise ValueError("a quandle needs at least one point")
     violations: list[AxiomViolation] = []
     for x, row in enumerate(table):
         if len(row) != n:
@@ -164,8 +167,6 @@ class Quandle:
 
     def __init__(self, table: Sequence[Sequence[int]]):
         rows = tuple(map(tuple, table))
-        if not rows:
-            raise ValueError("a quandle needs at least one point")
         # The raw entries are checked, so a float, string or bool is a range
         # violation; numpy ints pass and become ints.
         bad = axiom_violations(rows)
@@ -457,11 +458,13 @@ def _canonical_table(
 
 def trivial_quandle(n: int) -> Quandle:
     """Order n with x > y = x for all x, y."""
+    check_int(n)
     return Quandle(tuple(tuple(x for _ in range(n)) for x in range(n)))
 
 
 def dihedral_quandle(n: int) -> Quandle:
     """Reflections of a regular n-gon: x > y = (2y - x) mod n."""
+    check_int(n)
     if n < 1:
         raise ValueError("order must be at least 1")
     return Quandle(tuple(tuple((2 * y - x) % n for y in range(n)) for x in range(n)))

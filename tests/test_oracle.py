@@ -16,8 +16,9 @@ import pytest
 from quandles import oracle, quandle
 from quandles.oracle import (
     Census,
-    _ColumnSearch,
+    _column_candidates,
     _cycle_type_columns,
+    _search,
     count_connected,
     enumerate_all,
     labeled_tables,
@@ -75,11 +76,11 @@ class TestLabeledTables:
         assert len(labeled_tables(n)) == count
 
     def test_column_pinning_partitions_the_search(self):
-        full = sorted(_ColumnSearch(3).run())
+        candidates = _column_candidates(3)
+        full = sorted(_search(3, candidates))
         by_branch = []
-        search = _ColumnSearch(3)
-        for images in search.candidates[0]:
-            by_branch.extend(_ColumnSearch(3).run(images))
+        for images in candidates[0]:
+            by_branch.extend(_search(3, candidates, images))
         assert sorted(by_branch) == full
         assert full == labeled_tables(3)
 

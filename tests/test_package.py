@@ -10,17 +10,26 @@ import pytest
 
 import quandles
 from quandles import (
+    Census,
+    CensusEntry,
+    ConnectedSeed,
+    DecompositionTree,
+    Permutation,
+    Quandle,
     canonical_hom,
     check_generation,
+    compose,
     count_connected,
     coset_quandle,
     decompose,
     decomposition_tree,
     dihedral_quandle,
     evaluate,
+    is_quandle_table,
     realize,
     semidisjoint_union,
     trivial_hom,
+    trivial_quandle,
 )
 
 # quandles.decompose is the function, so the modules come from sys.modules.
@@ -102,3 +111,57 @@ def test_a_wrongly_typed_argument_is_a_type_error(call, expected):
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == f"expected a {expected}"
+
+
+P2 = Permutation((1, 0))
+T2 = trivial_quandle(2)
+SEED3 = realize(Q3)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: trivial_quandle(2.0), TypeError),
+    (lambda: trivial_quandle(0), ValueError),
+    (lambda: dihedral_quandle(True), TypeError),
+    (lambda: dihedral_quandle("3"), TypeError),
+    (lambda: dihedral_quandle(0), ValueError),
+    (lambda: Permutation.identity(True), TypeError),
+    (lambda: Permutation.identity(0), ValueError),
+    (lambda: Permutation.from_cycles(True, (0,)), TypeError),
+    (lambda: compose(P2, 5), TypeError),
+    (lambda: compose(5, P2), TypeError),
+    (lambda: P2 * 5, TypeError),
+    (lambda: is_quandle_table([]), ValueError),
+    (lambda: Census(1, ([[0]],), (True,)), TypeError),
+    (lambda: Census(2, (Quandle([[0]]),), (True,)), ValueError),
+    (lambda: Census(1, (Quandle([[0]]),), ("yes",)), TypeError),
+    (lambda: Census(1.0, (), ()), TypeError),
+    (lambda: CensusEntry(5, 5, 5), TypeError),
+    (lambda: CensusEntry(Q3, 5, 6), TypeError),
+    (lambda: CensusEntry(Q3, SEED3, 6.0), TypeError),
+    (lambda: CensusEntry(Q3, SEED3, 5), ValueError),
+    (lambda: CensusEntry(dihedral_quandle(5), SEED3, 6), ValueError),
+    (lambda: DecompositionTree(5, None, ()), TypeError),
+    (lambda: DecompositionTree(T2, 5, ()), TypeError),
+    (lambda: DecompositionTree(T2, None, (5,)), TypeError),
+    (lambda: DecompositionTree(T2, None, (DecompositionTree(T2, None, ()),)), ValueError),
+    (lambda: DecompositionTree(Q3, decompose(T2), ()), ValueError),
+    (lambda: DecompositionTree(T2, decompose(T2), ()), ValueError),
+    (lambda: ConnectedSeed(5, 5, 5, 5), TypeError),
+    (lambda: ConnectedSeed(SEED3.group, 5, P2, ()), TypeError),
+    (lambda: ConnectedSeed(SEED3.group, SEED3.stabilizer, SEED3.z, (5, 5, 5)), TypeError),
+], ids=[
+    "trivial_quandle-float", "trivial_quandle-0", "dihedral_quandle-bool",
+    "dihedral_quandle-str", "dihedral_quandle-0", "identity-bool", "identity-0",
+    "from_cycles-bool", "compose-right", "compose-left", "mul", "is_quandle_table-empty",
+    "Census-table", "Census-order-mismatch", "Census-flag", "Census-order",
+    "CensusEntry-quandle", "CensusEntry-seed", "CensusEntry-inner-type",
+    "CensusEntry-inner-order", "CensusEntry-order-mismatch", "DecompositionTree-quandle",
+    "DecompositionTree-decomposition", "DecompositionTree-child", "DecompositionTree-leaf",
+    "DecompositionTree-order-mismatch", "DecompositionTree-children", "ConnectedSeed-group",
+    "ConnectedSeed-stabilizer", "ConnectedSeed-reps",
+])
+def test_a_malformed_value_is_refused(call, error):
+    # The library contract: TypeError or ValueError, never AttributeError
+    # and never an object built from bad data.
+    with pytest.raises(error):
+        call()
