@@ -29,7 +29,7 @@ DecompositionTree.replay returns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -300,31 +300,26 @@ def _decompose(q: Quandle) -> Decomposition:
 
 @dataclass(frozen=True)
 class DecompositionTree:
-    """Iterated decomposition down to connected leaves.
+    """Iterated decomposition of a quandle down to connected leaves.
 
-    A leaf (connected quandle) has decomposition None and no children;
-    otherwise children[b] refines block b of the decomposition, taken as a
-    standalone quandle under its own inner group.  A field of the wrong type
-    raises TypeError; a decomposition or child of another order raises
-    ValueError.  Connectivity is not re-derived.
+    Only the quandle is passed; the rest is derived here.  A leaf (connected
+    quandle) has decomposition None and no children; otherwise the
+    decomposition is decompose(quandle) and children[b] refines its block b,
+    taken as a standalone quandle under its own inner group.  A quandle of
+    the wrong type raises TypeError.  Terminates because a disconnected
+    quandle has at least two orbits, so block orders strictly decrease.
     """
 
     quandle: Quandle
-    decomposition: Decomposition | None
-    children: tuple["DecompositionTree", ...]
+    decomposition: Decomposition | None = field(init=False, compare=False)
+    children: tuple["DecompositionTree", ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         check_type(self.quandle, Quandle)
-        for child in self.children:
-            check_type(child, DecompositionTree)
-        blocks: tuple[Quandle, ...] = ()
-        if self.decomposition is not None:
-            check_type(self.decomposition, Decomposition)
-            if len(self.decomposition.layout) != self.quandle.order:
-                raise ValueError("the decomposition is of another order than the quandle")
-            blocks = self.decomposition.blocks
-        if [c.quandle.order for c in self.children] != [b.order for b in blocks]:
-            raise ValueError("children must match the decomposition's blocks in number and order")
+        dec = None if self.quandle.is_connected() else decompose(self.quandle)
+        children = () if dec is None else tuple(DecompositionTree(b) for b in dec.blocks)
+        object.__setattr__(self, "decomposition", dec)
+        object.__setattr__(self, "children", children)
 
     def is_leaf(self) -> bool:
         return self.decomposition is None
@@ -356,15 +351,8 @@ def decomposition_tree(q: Quandle) -> DecompositionTree:
     """Decompose recursively until every leaf is connected.
 
     Each level goes through decompose, so a quandle or block decomposed
-    before is not decomposed or checked again.  Terminates because a
-    disconnected quandle has at least two orbits, so block orders strictly
-    decrease.
+    before is not decomposed or checked again.
     """
-    check_type(q, Quandle)
-    if q.is_connected():
-        return DecompositionTree(q, None, ())
-    dec = decompose(q)
-    children = tuple(decomposition_tree(block) for block in dec.blocks)
-    tree = DecompositionTree(q, dec, children)
+    tree = DecompositionTree(q)
     ensure(all(leaf.is_connected() for leaf in tree.leaves()), "a tree leaf is not connected")
     return tree

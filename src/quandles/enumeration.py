@@ -7,19 +7,21 @@ lives on the right cosets of H, which biject with points via g -> g(0):
 
     i > j  =  (reps_i * reps_j^-1 * z * reps_j)(0)  =  conj_j(i).
 
-realize extracts the triple from a connected quandle (z is the symmetry at
-0); coset_quandle rebuilds the table.  The enumerator walks all transitive
-subgroup classes of S_n, all central z of the stabilizer, keeps the triples
-that generate, and dedupes the resulting quandles by canonical form.  Its
-output is cross-checked against the brute-force search in the oracle
-module, which shares no code with this construction.
+A ConnectedSeed is the pair (G, z) and derives H and the coset
+representatives itself.  realize extracts the seed from a connected quandle
+(G its inner group, z the symmetry at 0); coset_quandle rebuilds the table.
+The enumerator walks all transitive subgroup classes of S_n, all central z
+of the stabilizer, keeps the seeds that generate, and dedupes the resulting
+quandles by canonical form.  Its output is cross-checked against the
+brute-force search in the oracle module, which shares no code with this
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .config import DEFAULT_MAX_ORDER, check_int, check_order, check_type, ensure
+from .config import DEFAULT_MAX_ORDER, check_order, check_type, ensure
 from .perm import PermGroup, Permutation, generate_group, transitive_subgroups_up_to_conjugacy
 from .quandle import Quandle
 
@@ -45,54 +47,39 @@ class NotConnectedError(ValueError):
 
 @dataclass(frozen=True)
 class ConnectedSeed:
-    """(group, stabilizer of 0, central z, coset representatives).
+    """A transitive group and a central element z of the stabilizer of 0.
 
-    reps[k] is the least group element sending 0 to k, so reps[0] is the
-    identity and reps indexes the right cosets of the stabilizer.
+    The stabilizer and the coset representatives are derived here, never
+    passed: reps[k] is the least group element sending 0 to k, so reps[0]
+    is the identity and reps indexes the right cosets of the stabilizer.
+    A group or z of the wrong type raises TypeError; an intransitive group,
+    or a z outside the stabilizer or not central in it, raises ValueError.
     """
 
     group: PermGroup
-    stabilizer: PermGroup
     z: Permutation
-    reps: tuple[Permutation, ...]
+    stabilizer: PermGroup = field(init=False, compare=False)
+    reps: tuple[Permutation, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         check_type(self.group, PermGroup)
-        check_type(self.stabilizer, PermGroup)
         check_type(self.z, Permutation)
-        for r in self.reps:
-            check_type(r, Permutation)
-        n = self.group.degree
-        if len(self.group) != len(self.stabilizer) * n:
-            raise ValueError("stabilizer index does not equal the degree")
-        if self.z not in self.stabilizer:
+        reps: dict[int, Permutation] = {}
+        for g in self.group.elements:  # sorted, so the first hit is least
+            reps.setdefault(g.images[0], g)
+        if len(reps) < self.group.degree:
+            raise ValueError("group must be transitive")
+        stabilizer = self.group.stabilizer(0)
+        if self.z not in stabilizer:
             raise ValueError("z must lie in the stabilizer")
-        if any(self.z * h != h * self.z for h in self.stabilizer.generators):
+        if any(self.z * h != h * self.z for h in stabilizer.generators):
             raise ValueError("z must be central in the stabilizer")
-        if len(self.reps) != n or any(r.images[0] != k for k, r in enumerate(self.reps)):
-            raise ValueError("reps[k] must send 0 to k, one per coset")
+        object.__setattr__(self, "stabilizer", stabilizer)
+        object.__setattr__(self, "reps", tuple(reps[k] for k in range(self.group.degree)))
 
     @property
     def order(self) -> int:
         return self.group.degree
-
-
-def seed_from_group(group: PermGroup, z: Permutation) -> ConnectedSeed:
-    """Seed for a transitive group and a central stabilizer element."""
-    if not group.is_transitive():
-        raise ValueError("group must be transitive")
-    stab = group.stabilizer(0)
-    reps = _coset_reps(group)
-    return ConnectedSeed(group, stab, z, reps)
-
-
-def _coset_reps(group: PermGroup) -> tuple[Permutation, ...]:
-    reps: dict[int, Permutation] = {}
-    for g in group.elements:  # sorted, so first hit is least
-        k = g.images[0]
-        if k not in reps:
-            reps[k] = g
-    return tuple(reps[k] for k in range(group.degree))
 
 
 def _conjugates(seed: ConnectedSeed) -> list[Permutation]:
@@ -131,43 +118,37 @@ def coset_quandle(seed: ConnectedSeed) -> Quandle:
 
 
 def realize(q: Quandle) -> ConnectedSeed:
-    """The (group, stabilizer, z, reps) triple underlying a connected quandle.
+    """The seed of a connected quandle: its inner group and z, the symmetry at 0.
 
-    The group is the inner group, z the symmetry at 0.  Feeding the result
-    back through coset_quandle reproduces q exactly, not just up to
-    isomorphism, because the coset of g is determined by g(0).
+    Feeding the result back through coset_quandle reproduces q exactly, not
+    just up to isomorphism, because the coset of g is determined by g(0).
     """
     check_type(q, Quandle)
     if not q.is_connected():
         raise NotConnectedError(f"quandle has {len(q.orbits())} orbits, needs exactly 1")
-    group = q.inner_group()
-    seed = seed_from_group(group, q.symmetry(0))
-    return seed
+    return ConnectedSeed(q.inner_group(), q.symmetry(0))
 
 
 @dataclass(frozen=True)
 class CensusEntry:
     """One isomorphism class of connected quandles and the seed that produced it.
 
-    A field of the wrong type raises TypeError; a quandle of another order
-    than the seed, or an inner_order other than the seed group's, raises
-    ValueError.  Connectivity is not re-derived.
+    A field of the wrong type raises TypeError, and a quandle of another
+    order than the seed raises ValueError.  Connectivity is not re-derived.
     """
 
     quandle: Quandle
     seed: ConnectedSeed
-    inner_order: int
 
     def __post_init__(self) -> None:
         check_type(self.quandle, Quandle)
         check_type(self.seed, ConnectedSeed)
-        check_int(self.inner_order, "inner_order")
         if self.quandle.order != self.seed.order:
             raise ValueError(f"quandle order {self.quandle.order} != seed order {self.seed.order}")
-        if self.inner_order != len(self.seed.group):
-            raise ValueError(
-                f"inner_order {self.inner_order} != seed group order {len(self.seed.group)}"
-            )
+
+    @property
+    def inner_order(self) -> int:
+        return len(self.seed.group)
 
 
 def enumerate_connected(n: int) -> list[CensusEntry]:
@@ -181,14 +162,12 @@ def enumerate_connected(n: int) -> list[CensusEntry]:
     check_order(n, DEFAULT_MAX_ORDER)
     by_class: dict[Quandle, CensusEntry] = {}
     for group in transitive_subgroups_up_to_conjugacy(n):
-        stab = group.stabilizer(0)
-        reps = _coset_reps(group)
-        for z in stab.center():
-            seed = ConnectedSeed(group, stab, z, reps)
+        for z in group.stabilizer(0).center():
+            seed = ConnectedSeed(group, z)
             try:
                 q = coset_quandle(seed).canonical_form()
             except GenerationFailureError:
                 continue
             if q not in by_class:
-                by_class[q] = CensusEntry(q, seed, len(group))
+                by_class[q] = CensusEntry(q, seed)
     return sorted(by_class.values(), key=lambda e: e.quandle.table)

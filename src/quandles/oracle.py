@@ -90,15 +90,10 @@ def _column_candidates(n: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
-def _search(
-    n: int,
-    offered: list[list[tuple[int, ...]]],
-    first_column: tuple[int, ...] | None = None,
-) -> list[tuple[tuple[int, ...], ...]]:
+def _search(n: int, offered: list[list[tuple[int, ...]]]) -> list[tuple[tuple[int, ...], ...]]:
     """Every completed table, point y taking only columns from offered[y].
 
-    Backtracks over symmetry columns with rack-condition propagation; with
-    first_column, the column at point 0 is pinned to it.
+    Backtracks over symmetry columns with rack-condition propagation.
     """
     columns: list[tuple[int, ...] | None] = [None] * n
     leaves: list[tuple[tuple[int, ...], ...]] = []
@@ -149,10 +144,7 @@ def _search(
             for point in trail:
                 columns[point] = None
 
-    if first_column is None:
-        descend(0)
-    elif place(0, first_column, []):
-        descend(1)
+    descend(0)
     return leaves
 
 
@@ -180,8 +172,8 @@ def labeled_tables(
         tables = []
         for first in first_columns:
             pin = types[first]
-            offered = [[c for c in column if types[c] <= pin] for column in candidates]
-            tables += _search(n, offered, first)
+            offered = [[c for c in column if types[c] <= pin] for column in candidates[1:]]
+            tables += _search(n, [[first]] + offered)
     tables.sort()
     return tables
 

@@ -108,6 +108,7 @@ class Permutation:
 
     def conjugated_by(self, g: "Permutation") -> "Permutation":
         """g^-1 * self * g."""
+        check_type(g, Permutation)
         return g.inverse() * self * g
 
     def is_identity(self) -> bool:
@@ -244,10 +245,11 @@ class PermGroup:
 
     Build instances with generate_group or PermGroup.from_elements.  The
     constructor refuses, in O(|G|), a degree that is not an int, an element
-    or generator that is not a Permutation of that degree, an element list
-    without the identity, and a generator that is not an element; it trusts
-    that the elements are distinct and closed under composition.  Equality
-    and hashing ignore the generators, so equal groups are equal element sets.
+    or generator that is not a Permutation of that degree, a repeated
+    element, an element list without the identity, and a generator that is
+    not an element; it trusts only that the elements are closed under
+    composition.  Equality and hashing ignore the generators, so equal
+    groups are equal element sets.
     """
 
     degree: int
@@ -260,6 +262,8 @@ class PermGroup:
         _check_members(generators + elements, degree)
         # Image tuples, not Permutations: their hash builds no 1-tuple per element.
         members = frozenset(e.images for e in elements)
+        if len(members) != len(elements):
+            raise ValueError("the group's elements must be distinct")
         if tuple(range(degree)) not in members:
             raise ValueError("a group needs at least the identity")
         if not members.issuperset(g.images for g in generators):
@@ -310,6 +314,7 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={len(self.elements)})"
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
+        check_type(other, PermGroup)
         return self.degree == other.degree and self._members <= other._members
 
     def is_abelian(self) -> bool:

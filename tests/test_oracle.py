@@ -80,7 +80,7 @@ class TestLabeledTables:
         full = sorted(_search(3, candidates))
         by_branch = []
         for images in candidates[0]:
-            by_branch.extend(_search(3, candidates, images))
+            by_branch.extend(_search(3, [[images]] + candidates[1:]))
         assert sorted(by_branch) == full
         assert full == labeled_tables(3)
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import sys
 
+import numpy as np
 import pytest
 
 import quandles
@@ -14,6 +16,7 @@ from quandles import (
     CensusEntry,
     ConnectedSeed,
     DecompositionTree,
+    PermGroup,
     Permutation,
     Quandle,
     canonical_hom,
@@ -24,7 +27,9 @@ from quandles import (
     decompose,
     decomposition_tree,
     dihedral_quandle,
+    disjoint_union,
     evaluate,
+    generate_group,
     is_quandle_table,
     realize,
     semidisjoint_union,
@@ -102,10 +107,13 @@ Q3 = dihedral_quandle(3)
     (lambda: coset_quandle(5), "ConnectedSeed, not int"),
     (lambda: check_generation(5), "ConnectedSeed, not int"),
     (lambda: count_connected(5), "Census, not int"),
+    (lambda: Permutation((1, 0, 2)).conjugated_by(5), "Permutation, not int"),
+    (lambda: generate_group([Permutation((1, 0, 2))], 3).is_subgroup_of([1]),
+     "PermGroup, not list"),
 ], ids=[
     "decompose", "decomposition_tree", "semidisjoint_union", "canonical_hom",
     "trivial_hom-source", "trivial_hom-target", "evaluate", "realize", "coset_quandle",
-    "check_generation", "count_connected",
+    "check_generation", "count_connected", "conjugated_by", "is_subgroup_of",
 ])
 def test_a_wrongly_typed_argument_is_a_type_error(call, expected):
     with pytest.raises(TypeError) as info:
@@ -114,8 +122,12 @@ def test_a_wrongly_typed_argument_is_a_type_error(call, expected):
 
 
 P2 = Permutation((1, 0))
-T2 = trivial_quandle(2)
+E3 = Permutation.identity(3)
+T4 = trivial_quandle(4)
 SEED3 = realize(Q3)
+# The derived fields cannot be passed, so this tree's levels cannot be
+# grafted onto another quandle of its order.
+TREE = decomposition_tree(disjoint_union([Q3, trivial_quandle(1)]))
 
 
 @pytest.mark.parametrize("call, error", [
@@ -135,33 +147,79 @@ SEED3 = realize(Q3)
     (lambda: Census(2, (Quandle([[0]]),), (True,)), ValueError),
     (lambda: Census(1, (Quandle([[0]]),), ("yes",)), TypeError),
     (lambda: Census(1.0, (), ()), TypeError),
-    (lambda: CensusEntry(5, 5, 5), TypeError),
-    (lambda: CensusEntry(Q3, 5, 6), TypeError),
-    (lambda: CensusEntry(Q3, SEED3, 6.0), TypeError),
-    (lambda: CensusEntry(Q3, SEED3, 5), ValueError),
-    (lambda: CensusEntry(dihedral_quandle(5), SEED3, 6), ValueError),
-    (lambda: DecompositionTree(5, None, ()), TypeError),
-    (lambda: DecompositionTree(T2, 5, ()), TypeError),
-    (lambda: DecompositionTree(T2, None, (5,)), TypeError),
-    (lambda: DecompositionTree(T2, None, (DecompositionTree(T2, None, ()),)), ValueError),
-    (lambda: DecompositionTree(Q3, decompose(T2), ()), ValueError),
-    (lambda: DecompositionTree(T2, decompose(T2), ()), ValueError),
-    (lambda: ConnectedSeed(5, 5, 5, 5), TypeError),
-    (lambda: ConnectedSeed(SEED3.group, 5, P2, ()), TypeError),
-    (lambda: ConnectedSeed(SEED3.group, SEED3.stabilizer, SEED3.z, (5, 5, 5)), TypeError),
+    (lambda: CensusEntry(5, 5), TypeError),
+    (lambda: CensusEntry(Q3, 5), TypeError),
+    (lambda: CensusEntry(Q3, SEED3, 6), TypeError),
+    (lambda: CensusEntry(dihedral_quandle(5), SEED3), ValueError),
+    (lambda: DecompositionTree(5), TypeError),
+    (lambda: DecompositionTree(T4, TREE.decomposition, TREE.children), TypeError),
+    (lambda: ConnectedSeed(5, 5), TypeError),
+    (lambda: ConnectedSeed(SEED3.group, 5), TypeError),
+    (lambda: ConnectedSeed(SEED3.group, SEED3.stabilizer, SEED3.z, SEED3.reps), TypeError),
+    (lambda: PermGroup(3, (), (E3, E3)), ValueError),
 ], ids=[
     "trivial_quandle-float", "trivial_quandle-0", "dihedral_quandle-bool",
     "dihedral_quandle-str", "dihedral_quandle-0", "identity-bool", "identity-0",
     "from_cycles-bool", "compose-right", "compose-left", "mul", "is_quandle_table-empty",
     "Census-table", "Census-order-mismatch", "Census-flag", "Census-order",
-    "CensusEntry-quandle", "CensusEntry-seed", "CensusEntry-inner-type",
-    "CensusEntry-inner-order", "CensusEntry-order-mismatch", "DecompositionTree-quandle",
-    "DecompositionTree-decomposition", "DecompositionTree-child", "DecompositionTree-leaf",
-    "DecompositionTree-order-mismatch", "DecompositionTree-children", "ConnectedSeed-group",
-    "ConnectedSeed-stabilizer", "ConnectedSeed-reps",
+    "CensusEntry-quandle", "CensusEntry-seed", "CensusEntry-inner-order",
+    "CensusEntry-order-mismatch", "DecompositionTree-quandle", "DecompositionTree-children",
+    "ConnectedSeed-group", "ConnectedSeed-z", "ConnectedSeed-reps", "PermGroup-repeated-element",
 ])
 def test_a_malformed_value_is_refused(call, error):
     # The library contract: TypeError or ValueError, never AttributeError
     # and never an object built from bad data.
     with pytest.raises(error):
         call()
+
+
+SWEEP_P = Permutation((1, 0, 2))
+SWEEP_G = generate_group([SWEEP_P], 3)
+
+
+def sweep_values():
+    """One argument of each kind; fresh lists and dicts, so no call sees another's mutation."""
+    return [
+        None, 5, -1, True, 2.0, "3", [0], (0,), [[0]], np.int64(3), [], {}, object(),
+        SWEEP_P, Q3, SWEEP_G,
+    ]
+
+
+def sweep_targets():
+    """Every public callable but the exceptions, then the public methods of three values."""
+    for name in quandles.__all__:
+        obj = getattr(quandles, name)
+        if not (inspect.isclass(obj) and issubclass(obj, BaseException)):
+            yield name, obj
+    for value in (SWEEP_P, SWEEP_G, Q3):
+        for name in dir(value):
+            if not name.startswith("_") and callable(getattr(value, name)):
+                yield f"{type(value).__name__}.{name}", getattr(value, name)
+
+
+def test_no_argument_escapes_as_anything_but_a_type_or_value_error():
+    # Every combination of values for at most two required parameters; one
+    # value repeated in every slot beyond that.
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    count = len(sweep_values())
+    escaped = []
+    for name, target in sweep_targets():
+        required = [
+            p for p in inspect.signature(target).parameters.values()
+            if p.kind in positional and p.default is p.empty
+        ]
+        k = len(required)
+        if k <= 2:
+            picks = itertools.product(range(count), repeat=k)
+        else:
+            picks = [(i,) * k for i in range(count)]
+        for pick in picks:
+            values = sweep_values()
+            args = [values[i] for i in pick]
+            try:
+                target(*args)
+            except (TypeError, ValueError):
+                pass
+            except Exception as exc:
+                escaped.append(f"{name}{tuple(type(a).__name__ for a in args)}: {exc!r}")
+    assert escaped == []
