@@ -8,13 +8,14 @@ lives on the right cosets of H, which biject with points via g -> g(0):
     i > j  =  (reps_i * reps_j^-1 * z * reps_j)(0)  =  conj_j(i).
 
 A ConnectedSeed is the pair (G, z) and derives H and the coset
-representatives itself.  realize extracts the seed from a connected quandle
-(G its inner group, z the symmetry at 0); coset_quandle rebuilds the table.
-The enumerator walks all transitive subgroup classes of S_n, all central z
-of the stabilizer, keeps the seeds that generate, and dedupes the resulting
-quandles by canonical form.  Its output is cross-checked against the
-brute-force search in the oracle module, which shares no code with this
-construction.
+representatives itself; G computes H once and keeps it.  realize extracts
+the seed from a connected quandle (G its inner group, z the symmetry at 0);
+coset_quandle rebuilds the table.  A CensusEntry is a seed alone and
+derives the canonical form of its quandle.  The enumerator walks all
+transitive subgroup classes of S_n and all central z of the stabilizer,
+builds an entry for each seed that generates, and keeps the first entry per
+canonical quandle.  Its output is cross-checked against the brute-force
+search in the oracle module, which shares no code with this construction.
 """
 
 from __future__ import annotations
@@ -131,20 +132,19 @@ def realize(q: Quandle) -> ConnectedSeed:
 
 @dataclass(frozen=True)
 class CensusEntry:
-    """One isomorphism class of connected quandles and the seed that produced it.
+    """One isomorphism class of connected quandles: a seed and its canonical quandle.
 
-    A field of the wrong type raises TypeError, and a quandle of another
-    order than the seed raises ValueError.  Connectivity is not re-derived.
+    The quandle is derived, coset_quandle(seed).canonical_form().  A seed
+    of the wrong type raises TypeError, and one whose conjugates of z do not
+    generate its group raises GenerationFailureError.
     """
 
-    quandle: Quandle
     seed: ConnectedSeed
+    quandle: Quandle = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_type(self.quandle, Quandle)
         check_type(self.seed, ConnectedSeed)
-        if self.quandle.order != self.seed.order:
-            raise ValueError(f"quandle order {self.quandle.order} != seed order {self.seed.order}")
+        object.__setattr__(self, "quandle", coset_quandle(self.seed).canonical_form())
 
     @property
     def inner_order(self) -> int:
@@ -163,11 +163,9 @@ def enumerate_connected(n: int) -> list[CensusEntry]:
     by_class: dict[Quandle, CensusEntry] = {}
     for group in transitive_subgroups_up_to_conjugacy(n):
         for z in group.stabilizer(0).center():
-            seed = ConnectedSeed(group, z)
             try:
-                q = coset_quandle(seed).canonical_form()
+                entry = CensusEntry(ConnectedSeed(group, z))
             except GenerationFailureError:
                 continue
-            if q not in by_class:
-                by_class[q] = CensusEntry(q, seed)
+            by_class.setdefault(entry.quandle, entry)
     return sorted(by_class.values(), key=lambda e: e.quandle.table)

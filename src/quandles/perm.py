@@ -6,7 +6,9 @@ Composition is left-to-right everywhere in this package: ``p * q`` means
 returned here is sorted by image array, which keeps derived results
 reproducible from run to run.
 
-Groups carry their full element sets.  That is deliberate: the library
+Groups carry their full element sets, and one closure routine (_generate)
+both builds a group from generators and checks a given element set for
+closure.  Exhaustive element sets are deliberate: the library
 targets degrees up to about 7 (|S_7| = 5040), where exhaustive
 representations are simpler to audit than stabilizer chains and still fast.
 The conjugacy-class search over subgroups is the one genuinely heavy
@@ -177,40 +179,51 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(q.images[v] for v in p.images))
 
 
-def _close(generators: Sequence[tuple[int, ...]], degree: int) -> set[tuple[int, ...]]:
-    """Image tuples of the group the generators' image tuples generate (breadth-first)."""
-    identity = tuple(range(degree))
-    elements = {identity}
-    if degree == 1:  # S_1 is trivial, and itemgetter of one index returns a scalar
-        return elements
-    frontier = [identity]
-    cap = math.factorial(degree)
-    while frontier:
-        step = []
-        for x in frontier:
-            times_x = operator.itemgetter(*x)  # g -> x * g, read as g[x[0]], g[x[1]], ...
-            for g in generators:
-                y = times_x(g)
+def _generate(
+    image_tuples: Iterable[tuple[int, ...]], degree: int
+) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """(kept, elements): the tuples that extend the group, in input order, and its elements.
+
+    Dimino's algorithm.  A tuple already in the group is skipped.  A new one
+    g extends the group S of the tuples kept so far to a union of right
+    cosets S * r: first S * g, then, for each representative r in turn and
+    each kept tuple t, the coset S * (r * t) whenever r * t is not yet an
+    element.  So each element is computed once, and only the representatives
+    are multiplied by the kept tuples.
+    """
+    kept: list[tuple[int, ...]] = []
+    elements = {tuple(range(degree))}
+    for g in image_tuples:
+        if g in elements:
+            continue
+        kept.append(g)
+        # x -> (r -> x * r), read as r[x[0]], r[x[1]], ..., for each x in S
+        times = [operator.itemgetter(*x) for x in elements]
+        elements.update(times_x(g) for times_x in times)
+        reps = [g]
+        for r in reps:  # reps grows while it is read
+            times_r = operator.itemgetter(*r)
+            for t in kept:
+                y = times_r(t)
                 if y not in elements:
-                    elements.add(y)
-                    step.append(y)
-        if len(elements) > cap:
-            raise RuntimeError("closure exceeded |S_n|; corrupt permutation state")
-        frontier = step
-    return elements
+                    reps.append(y)
+                    elements.update(times_x(y) for times_x in times)
+    return kept, elements
 
 
 def generate_group(generators: Iterable[Permutation], degree: int) -> "PermGroup":
-    """The subgroup of S_degree generated; the trivial group for no generators."""
+    """The subgroup of S_degree generated; the trivial group for no generators.
+
+    Its generators are derived from its elements, like every PermGroup's,
+    so they need not be the ones given.
+    """
     degree = _group_degree(degree)
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    gens = _distinct_sorted(generators, degree)
-    elements = sorted(_close([g.images for g in gens], degree))
-    return PermGroup(degree, tuple(gens), tuple(map(Permutation, elements)))
-
-
-_IMAGES = operator.attrgetter("images")
+    gens = tuple(generators)
+    _check_members(gens, degree)
+    _, elements = _generate([g.images for g in gens], degree)
+    return PermGroup(degree, tuple(map(Permutation, sorted(elements))))
 
 
 def _group_degree(degree: object) -> int:
@@ -228,78 +241,49 @@ def _check_members(perms: Iterable[object], degree: int) -> None:
             raise ValueError(f"permutation degree {len(p.images)} != group degree {degree}")
 
 
-def _distinct_sorted(perms: Iterable[Permutation], degree: int) -> list[Permutation]:
-    """sorted(set(perms)) of checked members, deduplicated and ordered on the image tuples.
-
-    The generated __hash__ and __lt__ build the 1-tuple (images,) on every
-    call; Permutation order is the order of that 1-tuple, so the list is the same.
-    """
-    perms = tuple(perms)
-    _check_members(perms, degree)
-    return sorted({p.images: p for p in perms}.values(), key=_IMAGES)
-
-
 @dataclass(frozen=True)
 class PermGroup:
     """A subgroup of S_n with its element list fully materialized and sorted.
 
-    Build instances with generate_group or PermGroup.from_elements.  The
-    constructor refuses, in O(|G|), a degree that is not an int, an element
-    or generator that is not a Permutation of that degree, a repeated
-    element, an element list without the identity, and a generator that is
-    not an element; it trusts only that the elements are closed under
-    composition.  Equality and hashing ignore the generators, so equal
-    groups are equal element sets.
+    PermGroup(degree, elements) sorts the elements and refuses a degree that
+    is not an int, an element that is not a Permutation of that degree, a
+    repeated element, an element list without the identity, and one that is
+    not closed under composition.  The generators are derived: the greedy
+    scan of the sorted elements keeps each one not yet generated.  So equal
+    groups are equal element sets, with equal generators.
     """
 
     degree: int
-    generators: tuple[Permutation, ...] = field(compare=False)
     elements: tuple[Permutation, ...]
+    generators: tuple[Permutation, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         degree = _group_degree(self.degree)
-        generators, elements = tuple(self.generators), tuple(self.elements)
-        _check_members(generators + elements, degree)
+        elements = tuple(self.elements)
+        _check_members(elements, degree)
         # Image tuples, not Permutations: their hash builds no 1-tuple per element.
-        members = frozenset(e.images for e in elements)
-        if len(members) != len(elements):
+        by_images = {e.images: e for e in elements}
+        if len(by_images) != len(elements):
             raise ValueError("the group's elements must be distinct")
-        if tuple(range(degree)) not in members:
+        if tuple(range(degree)) not in by_images:
             raise ValueError("a group needs at least the identity")
-        if not members.issuperset(g.images for g in generators):
-            raise ValueError("a generator is not among the group's elements")
+        images = sorted(by_images)
+        kept, closure = _generate(images, degree)
+        if len(closure) != len(images):
+            raise ValueError("element set is not closed under composition")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "elements", tuple(by_images[x] for x in images))
+        object.__setattr__(self, "generators", tuple(by_images[x] for x in kept))
+        object.__setattr__(self, "_members", frozenset(images))
+        object.__setattr__(self, "_stabilizers", {})
 
     def __reduce__(self) -> tuple:
         # Copies and unpickling go back through the checks in __post_init__.
-        return PermGroup, (self.degree, self.generators, self.elements)
+        return PermGroup, (self.degree, self.elements)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         return generate_group((), degree)
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[Permutation], degree: int) -> "PermGroup":
-        """Group from a closed element set, with generators chosen greedily.
-
-        The set is re-closed as a sanity check; a non-closed set raises.
-        """
-        degree = _group_degree(degree)
-        elems = _distinct_sorted(elements, degree)
-        if not elems:
-            raise ValueError("a group needs at least the identity")
-        gens: list[Permutation] = []
-        current = {tuple(range(degree))}
-        for e in elems:
-            if e.images not in current:
-                gens.append(e)
-                current = _close([g.images for g in gens], degree)
-        if sorted(current) != [e.images for e in elems]:
-            raise ValueError("element set is not closed under composition")
-        return cls(degree, tuple(gens), tuple(elems))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -332,12 +316,14 @@ class PermGroup:
         return [x for x in self.elements if all(x * g == g * x for g in self.generators)]
 
     def stabilizer(self, point: int) -> "PermGroup":
-        """Subgroup fixing the point."""
+        """Subgroup fixing the point, computed once per point and group."""
         point = _as_point(point, self.degree)
-        members = [p for p in self.elements if p.images[point] == point]
-        stab = PermGroup.from_elements(members, self.degree)
-        ensure(len(self) == len(stab) * len(self.orbit(point)), "orbit-stabilizer count fails")
-        return stab
+        if point not in self._stabilizers:
+            members = [p for p in self.elements if p.images[point] == point]
+            stab = PermGroup(self.degree, members)
+            ensure(len(self) == len(stab) * len(self.orbit(point)), "orbit-stabilizer count fails")
+            self._stabilizers[point] = stab
+        return self._stabilizers[point]
 
 
 # ---------------------------------------------------------------------------
@@ -621,16 +607,11 @@ def _subgroup_classes(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], 
 def _transitive_class_groups(n: int) -> tuple[PermGroup, ...]:
     idx = _sym_index(n)
     groups = []
-    for elements, gens in _subgroup_classes(n):
+    for elements, _ in _subgroup_classes(n):
         rows = idx.arr[list(elements)]
         if len(set(rows[:, 0].tolist())) != n:
             continue
-        # The search closed the elements and chose the generators greedily
-        # in index order, which is Permutation order: what from_elements
-        # would recompute.
-        perms = tuple(map(Permutation, rows.tolist()))
-        generators = tuple(map(Permutation, idx.arr[list(gens)].tolist()))
-        groups.append(PermGroup(n, generators, perms))
+        groups.append(PermGroup(n, tuple(map(Permutation, rows.tolist()))))
     return tuple(groups)
 
 

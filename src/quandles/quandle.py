@@ -275,7 +275,7 @@ class Quandle:
         """
         check_order(self.order)
         if "aut" not in self._cache:
-            group = PermGroup.from_elements(self._isomorphisms(self), self.order)
+            group = PermGroup(self.order, tuple(self._isomorphisms(self)))
             ensure(self.inner_group().is_subgroup_of(group), "inner group is not inside Aut")
             self._cache["aut"] = group
         return self._cache["aut"]

@@ -167,6 +167,28 @@ class TestEnumerateConnected:
         with pytest.raises(ValueError):
             enumerate_connected(7)
 
+    def test_entries_share_their_groups_stabilizer(self):
+        for entry in enumerate_connected(6):
+            assert entry.seed.stabilizer is entry.seed.group.stabilizer(0)
+
+
+class TestCensusEntry:
+    def test_the_quandle_is_derived_from_the_seed(self):
+        for entry in enumerate_connected(5):
+            built = CensusEntry(entry.seed)
+            assert built.quandle == coset_quandle(entry.seed).canonical_form() == entry.quandle
+            assert built == entry
+
+    def test_a_seed_that_does_not_generate_is_refused(self):
+        sym3 = generate_group([perm((0, 1), degree=3), perm((0, 1, 2), degree=3)], 3)
+        with pytest.raises(GenerationFailureError):
+            CensusEntry(ConnectedSeed(sym3, Permutation.identity(3)))
+
+    def test_the_quandle_is_not_an_argument(self):
+        (entry,) = enumerate_connected(3)
+        with pytest.raises(TypeError):
+            CensusEntry(entry.quandle, entry.seed)
+
 
 class TestCopyAndPickle:
     @pytest.mark.parametrize(

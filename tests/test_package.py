@@ -16,6 +16,7 @@ from quandles import (
     CensusEntry,
     ConnectedSeed,
     DecompositionTree,
+    GenerationFailureError,
     PermGroup,
     Permutation,
     Quandle,
@@ -147,24 +148,26 @@ TREE = decomposition_tree(disjoint_union([Q3, trivial_quandle(1)]))
     (lambda: Census(2, (Quandle([[0]]),), (True,)), ValueError),
     (lambda: Census(1, (Quandle([[0]]),), ("yes",)), TypeError),
     (lambda: Census(1.0, (), ()), TypeError),
-    (lambda: CensusEntry(5, 5), TypeError),
-    (lambda: CensusEntry(Q3, 5), TypeError),
-    (lambda: CensusEntry(Q3, SEED3, 6), TypeError),
-    (lambda: CensusEntry(dihedral_quandle(5), SEED3), ValueError),
+    (lambda: CensusEntry(Q3), TypeError),
+    (lambda: CensusEntry(5), TypeError),
+    (lambda: CensusEntry(SEED3, 6), TypeError),
+    (lambda: CensusEntry(ConnectedSeed(SEED3.group, E3)), GenerationFailureError),
     (lambda: DecompositionTree(5), TypeError),
     (lambda: DecompositionTree(T4, TREE.decomposition, TREE.children), TypeError),
     (lambda: ConnectedSeed(5, 5), TypeError),
     (lambda: ConnectedSeed(SEED3.group, 5), TypeError),
     (lambda: ConnectedSeed(SEED3.group, SEED3.stabilizer, SEED3.z, SEED3.reps), TypeError),
-    (lambda: PermGroup(3, (), (E3, E3)), ValueError),
+    (lambda: PermGroup(3, (E3, E3)), ValueError),
+    (lambda: PermGroup(3, (E3, Permutation((1, 2, 0)))), ValueError),
 ], ids=[
     "trivial_quandle-float", "trivial_quandle-0", "dihedral_quandle-bool",
     "dihedral_quandle-str", "dihedral_quandle-0", "identity-bool", "identity-0",
     "from_cycles-bool", "compose-right", "compose-left", "mul", "is_quandle_table-empty",
     "Census-table", "Census-order-mismatch", "Census-flag", "Census-order",
     "CensusEntry-quandle", "CensusEntry-seed", "CensusEntry-inner-order",
-    "CensusEntry-order-mismatch", "DecompositionTree-quandle", "DecompositionTree-children",
+    "CensusEntry-not-generating", "DecompositionTree-quandle", "DecompositionTree-children",
     "ConnectedSeed-group", "ConnectedSeed-z", "ConnectedSeed-reps", "PermGroup-repeated-element",
+    "PermGroup-not-closed",
 ])
 def test_a_malformed_value_is_refused(call, error):
     # The library contract: TypeError or ValueError, never AttributeError

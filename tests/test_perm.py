@@ -30,8 +30,8 @@ from quandles.perm import (
     transitive_subgroups_up_to_conjugacy,
 )
 from quandles.perm import (
-    _close,
     _cycle_type,
+    _generate,
     _subgroup_classes,
     _sym_index,
     _SymmetricIndex,
@@ -45,6 +45,11 @@ def perm(*cycles, degree):
 
 def all_perms(n):
     return [Permutation(p) for p in itertools.permutations(range(n))]
+
+
+def from_elements(elements, degree):
+    """The group on these elements, in generate_group's argument order."""
+    return PermGroup(degree, elements)
 
 
 class TestPermutation:
@@ -283,14 +288,13 @@ class TestGenerateGroup:
 
     def test_regeneration_is_stable(self):
         g = generate_group([perm((0, 1), degree=3), perm((1, 2), degree=3)], 3)
-        again = PermGroup.from_elements(g.elements, 3)
+        again = PermGroup(3, g.elements)
         assert again.elements == g.elements
 
     def test_from_elements_rejects_non_closed(self):
-        with pytest.raises(ValueError):
-            PermGroup.from_elements(
-                [Permutation.identity(3), perm((0, 1, 2), degree=3)], 3
-            )
+        # The identity and one 3-cycle, without its square.
+        with pytest.raises(ValueError, match="not closed under composition"):
+            PermGroup(3, [Permutation.identity(3), perm((0, 1, 2), degree=3)])
 
     def test_membership_and_subgroup(self):
         s3 = generate_group([perm((0, 1), degree=3), perm((1, 2), degree=3)], 3)
@@ -307,11 +311,25 @@ class TestGenerateGroup:
 
     def test_equality_and_hash_ignore_the_generators(self):
         s3 = generate_group([perm((0, 1), degree=3), perm((1, 2), degree=3)], 3)
-        other = PermGroup(3, (perm((0, 1, 2), degree=3), perm((0, 2), degree=3)), s3.elements)
-        assert other.generators != s3.generators
+        other = generate_group([perm((0, 1, 2), degree=3), perm((0, 2), degree=3)], 3)
         assert other == s3 and hash(other) == hash(s3)
+        assert other.generators == s3.generators
         assert len({s3, other}) == 1
         assert s3 != generate_group([perm((0, 1), degree=3)], 3)
+
+    def test_equality_is_by_element_set(self):
+        e, t = Permutation.identity(3), perm((0, 1), degree=3)
+        first, second = PermGroup(3, (e, t)), PermGroup(3, (t, e))
+        assert first == second and hash(first) == hash(second)
+        assert first.elements == second.elements == (e, t)
+        assert first.generators == second.generators == (t,)
+
+    def test_generators_are_derived_from_the_elements(self):
+        s3 = generate_group([perm((0, 1), degree=3), perm((1, 2), degree=3)], 3)
+        built = PermGroup(3, s3.elements[::-1])
+        assert built.generators == s3.generators == (perm((1, 2), degree=3), perm((0, 1), degree=3))
+        assert built.center() == [Permutation.identity(3)]
+        assert not built.is_abelian()
 
     def test_immutable(self):
         g = generate_group([perm((0, 1), degree=3)], 3)
@@ -337,7 +355,7 @@ class TestGenerateGroup:
 
 
 class TestPermGroupRefusals:
-    """The constructor's O(|G|) checks; closure itself stays trusted."""
+    """The constructor's checks, closure included, and generate_group's."""
 
     def group(self):
         return generate_group([perm((0, 1), degree=3)], 3)
@@ -346,49 +364,49 @@ class TestPermGroupRefusals:
     def test_degree_that_is_not_an_int(self, degree):
         g = self.group()
         with pytest.raises(TypeError, match="degree must be an int"):
-            PermGroup(degree, g.generators, g.elements)
+            PermGroup(degree, g.elements)
 
     def test_element_that_is_not_a_permutation(self):
         with pytest.raises(TypeError, match="must be Permutations, not tuple"):
-            PermGroup(3, (), ((0, 1, 2),))
+            PermGroup(3, ((0, 1, 2),))
 
     def test_generator_that_is_not_a_permutation(self):
         with pytest.raises(TypeError, match="must be Permutations, not int"):
-            PermGroup(3, (1,), ())
+            generate_group((1,), 3)
 
     def test_element_of_another_degree(self):
         with pytest.raises(ValueError, match="permutation degree 2 != group degree 3"):
-            PermGroup(3, (), (Permutation.identity(3), Permutation.identity(2)))
+            PermGroup(3, (Permutation.identity(3), Permutation.identity(2)))
 
     def test_generator_of_another_degree(self):
         with pytest.raises(ValueError, match="permutation degree 4 != group degree 3"):
-            PermGroup(3, (Permutation.identity(4),), (Permutation.identity(3),))
+            generate_group((Permutation.identity(4),), 3)
 
     def test_empty_element_list(self):
         with pytest.raises(ValueError, match="at least the identity"):
-            PermGroup(3, (), ())
+            PermGroup(3, ())
         with pytest.raises(ValueError, match="at least the identity"):
             dataclasses.replace(self.group(), elements=())
 
     def test_element_list_without_the_identity(self):
         with pytest.raises(ValueError, match="at least the identity"):
-            PermGroup(3, (), (perm((0, 1), degree=3),))
+            PermGroup(3, (perm((0, 1), degree=3),))
 
-    def test_generator_that_is_not_an_element(self):
+    def test_generators_are_not_an_argument(self):
         g = self.group()
-        with pytest.raises(ValueError, match="not among the group's elements"):
-            PermGroup(3, (perm((1, 2), degree=3),), g.elements)
-        with pytest.raises(ValueError, match="not among the group's elements"):
-            dataclasses.replace(g, elements=(Permutation.identity(3),))
+        with pytest.raises(TypeError):
+            PermGroup(3, g.generators, g.elements)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(g, generators=g.generators)
 
-    @pytest.mark.parametrize("build", [generate_group, PermGroup.from_elements])
+    @pytest.mark.parametrize("build", [generate_group, from_elements])
     @pytest.mark.parametrize("degree", [3.0, "3", True, None])
     def test_builders_refuse_a_degree_that_is_not_an_int(self, build, degree):
         with pytest.raises(TypeError) as info:
             build([Permutation.identity(3)], degree)
         assert str(info.value) == f"group degree must be an int, not {type(degree).__name__}"
 
-    @pytest.mark.parametrize("build", [generate_group, PermGroup.from_elements])
+    @pytest.mark.parametrize("build", [generate_group, from_elements])
     def test_builders_check_each_member(self, build):
         with pytest.raises(TypeError, match="must be Permutations, not tuple"):
             build([(0, 1)], 2)
@@ -397,12 +415,14 @@ class TestPermGroupRefusals:
 
     def test_from_no_elements(self):
         with pytest.raises(ValueError, match="at least the identity"):
-            PermGroup.from_elements([], 3)
+            from_elements([], 3)
 
     def test_replace_keeps_a_valid_group(self):
         g = self.group()
         assert dataclasses.replace(g) == g
-        assert dataclasses.replace(g, generators=()).generators == ()
+        assert dataclasses.replace(g, elements=g.elements[::-1]) == g
+        with pytest.raises(ValueError, match="not closed under composition"):
+            dataclasses.replace(g, elements=(Permutation.identity(3), perm((0, 1, 2), degree=3)))
 
 
 def breadth_first_closure(gens, degree):
@@ -414,12 +434,6 @@ def breadth_first_closure(gens, degree):
         elements |= fresh
         frontier = list(fresh)
     return elements
-
-
-def reference_generate_group(generators, degree):
-    """(generators, elements) as sorted(set(...)) of the Permutations gives them."""
-    gens = sorted(set(generators))
-    return tuple(gens), tuple(sorted(breadth_first_closure(gens, degree)))
 
 
 def reference_from_elements(elements, degree):
@@ -434,16 +448,18 @@ def reference_from_elements(elements, degree):
 
 
 class TestImageTupleOrder:
-    """generate_group and from_elements dedup and sort on image tuples.
+    """generate_group and the constructor sort and scan on image tuples.
 
-    They must give what sorted(set(...)) of the Permutations gives.
+    They must give what sorted(set(...)) of the Permutations gives: the
+    elements in that order, and the generators the greedy scan keeps.
     """
 
     def assert_matches_references(self, perms, degree):
         g = generate_group(perms, degree)
-        assert (g.generators, g.elements) == reference_generate_group(perms, degree)
-        h = PermGroup.from_elements(g.elements[::-1] + g.elements[:2], degree)
-        assert (h.generators, h.elements) == reference_from_elements(g.elements, degree)
+        expected = reference_from_elements(breadth_first_closure(set(perms), degree), degree)
+        assert (g.generators, g.elements) == expected
+        h = PermGroup(degree, g.elements[::-1])
+        assert (h.generators, h.elements) == expected
 
     def test_inner_and_automorphism_groups_of_the_census(self, censuses):
         for n in range(1, 6):
@@ -459,6 +475,27 @@ class TestImageTupleOrder:
             gens += rng.choices(gens, k=rng.randint(1, 3))  # duplicates, out of order
             rng.shuffle(gens)
             self.assert_matches_references(gens, 5)
+
+
+class TestDerivedGenerators:
+    """Every group's derived generators generate it, and any element order derives them."""
+
+    def assert_generated_by_its_generators(self, g):
+        assert generate_group(g.generators, g.degree) == g
+        assert PermGroup(g.degree, g.elements[::-1]).generators == g.generators
+
+    def test_census_groups(self, censuses):
+        for n in range(1, 6):
+            for q in censuses.brute(n).tables:
+                inner = generate_group(q.symmetries(), n)
+                for g in (inner, inner.stabilizer(0), q.automorphism_group()):
+                    self.assert_generated_by_its_generators(g)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_transitive_class_representatives(self, n):
+        for g in transitive_subgroups_up_to_conjugacy(n):
+            self.assert_generated_by_its_generators(g)
+            self.assert_generated_by_its_generators(g.stabilizer(0))
 
 
 class TestGroupStructure:
@@ -489,6 +526,13 @@ class TestGroupStructure:
         assert len(self.s3().stabilizer(0)) == 2
         cyclic = generate_group([perm((0, 1, 2), degree=3)], 3)
         assert len(cyclic.stabilizer(0)) == 1
+
+    def test_stabilizer_is_computed_once_per_point(self):
+        s3 = self.s3()
+        assert s3.stabilizer(0) is s3.stabilizer(np.int64(0))
+        assert s3.stabilizer(1) is not s3.stabilizer(0)
+        assert s3.stabilizer(1) == generate_group([perm((0, 2), degree=3)], 3)
+        assert copy.copy(s3).stabilizer(0) == s3.stabilizer(0)
 
     def test_stabilizer_point_out_of_range(self):
         for point in (3, -1, True, 1.0):
@@ -563,10 +607,12 @@ class TestTransitiveSubgroups:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_generators_are_those_from_elements_picks(self, n):
+        # The search's own greedy scan, on indices, keeps the same generators.
+        idx = _sym_index(n)
+        picks = {elements: gens for elements, gens in _subgroup_classes(n)}
         for g in transitive_subgroups_up_to_conjugacy(n):
-            rebuilt = PermGroup.from_elements(g.elements, n)
-            assert g.generators == rebuilt.generators
-            assert g.elements == rebuilt.elements
+            gens = picks[tuple(idx.lookup(np.array([p.images for p in g], dtype=np.int8)).tolist())]
+            assert g.generators == tuple(map(idx.permutation, gens))
 
     def test_orbit_stabilizer_product(self):
         for g in transitive_subgroups_up_to_conjugacy(4):
@@ -724,10 +770,11 @@ class TestSymmetricIndex:
 
 
 def closed_indices(idx, generators):
-    """The closure of the generators' indices, and its index array by _close."""
+    """The closure of the generators' indices, and its index array by _generate."""
     gens = [g.images for g in generators]
     gen_idx = idx.lookup(np.array(gens, dtype=np.int8).reshape(-1, idx.n)).tolist()
-    expected = np.sort(idx.lookup(np.array(sorted(_close(gens, idx.n)), dtype=np.int8)))
+    _, closure = _generate(gens, idx.n)
+    expected = np.sort(idx.lookup(np.array(sorted(closure), dtype=np.int8)))
     return idx.closure(gen_idx), expected
 
 
