@@ -12,6 +12,7 @@ target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .config import check_type
@@ -109,11 +110,13 @@ class GammaHom:
 
 def check_gamma_hom(hom: GammaHom) -> None:
     """Raise the first violation in scan order: relations (x, y), then images."""
-    # |x > y| = |y|^-1 |x| |y| on image tuples: img[x > y][img[y][p]] == img[y][img[x][p]].
+    # |x > y| = |y|^-1 |x| |y| on image tuples: img[x > y][img[y][p]] == img[y][img[x][p]],
+    # where acts[y](t) reads t at img[y]'s images.
     img = [p.images for p in hom.assignment]
+    acts = [itemgetter(*p) for p in img]
     for x, row in enumerate(hom.source.table):
         for y, xy in enumerate(row):
-            if [img[xy][p] for p in img[y]] != [img[y][p] for p in img[x]]:
+            if acts[y](img[xy]) != acts[x](img[y]):
                 raise RelationViolationError(x, y)
     # Generators often share an image (the identity most of all), so each
     # distinct image is tested once and its verdict reused in x order.

@@ -25,20 +25,21 @@ the candidate columns of type at most tau.  Forced columns need
 no filter: S_{b > c} is a conjugate of S_b, so it has S_b's type.  The
 identity pin then yields only the trivial quandle (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  Each leaf is validated
-and put in a bucket keyed by the sorted cycle types of its columns, an
-isomorphism invariant.  A leaf is a new class unless the isomorphism
-search maps a class already in its bucket onto it (isomorph rejection by
-testing against the known classes); each class is reduced to canonical
-form once.
+and handed to quandle.isomorphism_classes, which buckets it by its sorted
+point signatures (per point: the cycle type of its column and how often
+its row holds itself), both read off the table.  A leaf is a new class
+unless the isomorphism search maps a class already in its bucket onto it
+(isomorph rejection by testing against the known classes); each class is
+reduced to canonical form once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_MAX_ORDER, check_int, check_order, check_type
-from .quandle import Quandle, _cycle_type
+from .quandle import Quandle, _cycle_type, isomorphism_classes
 
 __all__ = ["Census", "enumerate_all", "count_connected"]
 
@@ -47,13 +48,13 @@ __all__ = ["Census", "enumerate_all", "count_connected"]
 class Census:
     """All isomorphism classes of one order, canonical forms sorted.
 
-    A field of the wrong type raises TypeError; unparallel tuples or a table
-    of another order raise ValueError.  The flags are not re-derived.
+    A field of the wrong type raises TypeError and a table of another order
+    ValueError.  connected_flags is derived: each table's is_connected().
     """
 
     order: int
     tables: tuple[Quandle, ...]
-    connected_flags: tuple[bool, ...]
+    connected_flags: tuple[bool, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         check_int(self.order)
@@ -63,10 +64,7 @@ class Census:
             check_type(q, Quandle)
             if q.order != self.order:
                 raise ValueError(f"a table of order {q.order} in a census of order {self.order}")
-        for flag in self.connected_flags:
-            check_type(flag, bool)
-        if len(self.tables) != len(self.connected_flags):
-            raise ValueError("tables and connected_flags must be parallel")
+        object.__setattr__(self, "connected_flags", tuple(q.is_connected() for q in self.tables))
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -182,23 +180,12 @@ def enumerate_all(n: int) -> Census:
     """Census of all quandles of order n up to isomorphism.
 
     Searches only the labelings whose column 0 is the pin of the largest
-    cycle type in the table and validates each.  Labelings are bucketed by
-    the sorted cycle types of their columns, and one is kept unless it is
-    isomorphic to a class already in its bucket; each class gets one
-    canonical form.  The default bound of 6 follows QUANDLE_MAX_ORDER;
-    order 7 searches 1405 labelings.
+    cycle type in the table, validates each, and sorts them into classes by
+    isomorphism_classes: bucketed by their sorted point signatures, one kept
+    unless it is isomorphic to a class already in its bucket, and each class
+    reduced to canonical form once.  The default bound of 6 follows
+    QUANDLE_MAX_ORDER; order 7 searches 1405 labelings.
     """
     check_order(n, DEFAULT_MAX_ORDER)
-    buckets: dict[tuple[tuple[int, ...], ...], list[Quandle]] = {}
-    for table in labeled_tables(n, _cycle_type_columns(n)):
-        q = Quandle(table)
-        bucket = buckets.setdefault(tuple(sorted(map(_cycle_type, zip(*table)))), [])
-        if not any(known.is_isomorphic(q) for known in bucket):
-            bucket.append(q)
-    # Each flag is read off the representative, whose orbits the canonical
-    # form's twin test has already computed.
-    classes = [
-        (q.canonical_form(), q.is_connected()) for bucket in buckets.values() for q in bucket
-    ]
-    classes.sort(key=lambda pair: pair[0].table)
-    return Census(n, tuple(q for q, _ in classes), tuple(flag for _, flag in classes))
+    leaves = map(Quandle, labeled_tables(n, _cycle_type_columns(n)))
+    return Census(n, tuple(isomorphism_classes(leaves)))

@@ -43,14 +43,16 @@ order, found by branch and bound over lazily assigned labels.
 - A branch stops as soon as its prefix exceeds the best table so far.
 
 Isomorphisms and automorphisms come from one backtracking search over
-point images.
+point images, and isomorphism_classes sorts any collection of quandles
+into classes through it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .config import check_int, check_order, check_type, ensure, is_int
 from .perm import PermGroup, Permutation, _as_point, _cycle_type, generate_group
@@ -64,6 +66,7 @@ __all__ = [
     "RangeViolation",
     "axiom_violations",
     "is_quandle_table",
+    "isomorphism_classes",
     "trivial_quandle",
     "dihedral_quandle",
 ]
@@ -120,7 +123,9 @@ def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
 
     Range errors are reported first; structural axioms are only checked on
     in-range tables so the checks cannot raise.  An empty or ragged table is
-    not a table of any order and raises ValueError.
+    not a table of any order and raises ValueError.  An in-range table is
+    first checked a whole column at a time; the ordered per-cell scans run
+    only on a table that fails, to list its violations.
     """
     n = len(table)
     if not n:
@@ -135,6 +140,16 @@ def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
             elif not 0 <= value < n:
                 violations.append(RangeViolation(x, y, int(value)))
     if violations:
+        return violations
+    # S_y fixes y, S_y is a bijection, and (a > b) > c == (a > c) > (b > c)
+    # for every a at once: S_b then S_c equals S_c then S_{b > c}.
+    columns = tuple(zip(*table))
+    acts = [itemgetter(*column) for column in columns]
+    if all(column[y] == y and len(set(column)) == n for y, column in enumerate(columns)) and all(
+        acts[b](column) == acts[c](columns[bc])
+        for c, column in enumerate(columns)
+        for b, bc in enumerate(column)
+    ):
         return violations
     for x in range(n):
         if table[x][x] != x:
@@ -295,11 +310,17 @@ class Quandle:
         return next(self._isomorphisms(other), None)
 
     def _signatures(self) -> list[tuple]:
-        """Each point's isomorphism invariants: its symmetry's cycle type, its orbit size."""
+        """Each point's isomorphism invariants, read off the table alone.
+
+        For x: the cycle type of its symmetry S_x, and how many y have
+        x > y == x.  A relabeling sigma moves x's signature to sigma(x).
+        The cycle types of S_v over the values v = x > y of row x add
+        nothing: S_{x > y} = S_y^-1 S_x S_y has S_x's cycle type.
+        """
         if "signatures" not in self._cache:
-            orbit_sizes = {p: len(orb) for orb in self.orbits() for p in orb}
             self._cache["signatures"] = [
-                (_cycle_type(column), orbit_sizes[x]) for x, column in enumerate(zip(*self.table))
+                (_cycle_type(column), row.count(x))
+                for x, (row, column) in enumerate(zip(self.table, zip(*self.table)))
             ]
         return self._cache["signatures"]
 
@@ -321,7 +342,7 @@ class Quandle:
         """Every sigma with other == self.relabel(sigma), in lexicographic order.
 
         Backtracking over point images, pruned by matching each point's
-        invariants (cycle type of its symmetry, orbit size).  Each cell
+        invariants (its signature, see _signatures).  Each cell
         (a, b) is checked once, when the last of a, b and a > b gets its
         image, so a full assignment is an isomorphism.  The cell check is a
         flat loop over the (a, b, a > b) triples of the level.
@@ -363,6 +384,25 @@ class Quandle:
                 s.pop()
 
         yield from extend(0)
+
+
+def isomorphism_classes(quandles: Iterable[Quandle]) -> list[Quandle]:
+    """The canonical forms of the isomorphism classes among the quandles, sorted by table.
+
+    Each quandle goes into a bucket keyed by its sorted point signatures, an
+    isomorphism invariant read off the table.  It is a new class unless the
+    isomorphism search maps a class already in its bucket onto it; each
+    class is reduced to canonical form once.  A member that is not a
+    Quandle raises TypeError.
+    """
+    buckets: dict[tuple[tuple, ...], list[Quandle]] = {}
+    for q in quandles:
+        check_type(q, Quandle)
+        bucket = buckets.setdefault(tuple(sorted(q._signatures())), [])
+        if not any(known.is_isomorphic(q) for known in bucket):
+            bucket.append(q)
+    forms = [q.canonical_form() for bucket in buckets.values() for q in bucket]
+    return sorted(forms, key=lambda q: q.table)
 
 
 def _canonical_table(

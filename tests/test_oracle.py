@@ -199,8 +199,8 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_at_most_one_inner_group_per_labeled_table(self, n, monkeypatch):
-        # The connectivity flags come from the class representatives, whose
-        # orbits are already known, not from a second closure per class.
+        # The census's flags build one inner group per class; the leaves
+        # build none, since their signatures are read off the table.
         calls = []
         original = quandle.generate_group
 
@@ -212,9 +212,34 @@ class TestCensus:
         enumerate_all(n)
         assert len(calls) <= len(labeled_tables(n, _cycle_type_columns(n)))
 
-    def test_parallel_flags_required(self, trivial4):
-        with pytest.raises(ValueError):
-            Census(4, (trivial4,), (True, False))
+    def test_order_6_builds_one_inner_group_per_class(self, monkeypatch):
+        # Point signatures are read off the table, so the leaves build no
+        # inner group; the census's flags build one per class.  The bucket
+        # key leaves 132 isomorphism tests among the 181 leaves.
+        counts = {"groups": 0, "tests": 0}
+        generate, is_isomorphic = quandle.generate_group, Quandle.is_isomorphic
+
+        def counted_generate(*args):
+            counts["groups"] += 1
+            return generate(*args)
+
+        def counted_is_isomorphic(self, other):
+            counts["tests"] += 1
+            return is_isomorphic(self, other)
+
+        monkeypatch.setattr(quandle, "generate_group", counted_generate)
+        monkeypatch.setattr(Quandle, "is_isomorphic", counted_is_isomorphic)
+        assert len(enumerate_all(6)) == 73
+        assert counts == {"groups": 73, "tests": 132}
+
+    def test_connected_flags_are_derived(self, censuses, trivial4, t3):
+        assert Census(4, (trivial4,)).connected_flags == (False,)
+        assert Census(3, (t3,)).connected_flags == (True,)
+        census = censuses.brute(5)
+        rebuilt = Census(5, census.tables)
+        assert rebuilt == census and rebuilt.connected_flags == census.connected_flags
+        with pytest.raises(TypeError):
+            Census(4, (trivial4,), (False,))
 
     def test_bound_refusal(self):
         with pytest.raises(ValueError):

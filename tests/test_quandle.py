@@ -29,6 +29,7 @@ from quandles.quandle import (
     axiom_violations,
     dihedral_quandle,
     is_quandle_table,
+    isomorphism_classes,
     trivial_quandle,
 )
 from conftest import TAIT_TABLE, TWO_ORBIT_TABLE
@@ -36,6 +37,21 @@ from conftest import TAIT_TABLE, TWO_ORBIT_TABLE
 
 def perm(*cycles, degree):
     return Permutation.from_cycles(degree, *cycles)
+
+
+def _ordered_scans(table):
+    """The three ordered per-cell scans of an in-range table, always all run."""
+    n = len(table)
+    found = [IdempotenceViolation(x) for x in range(n) if table[x][x] != x]
+    found += [
+        InvertibilityViolation(y) for y in range(n) if len({row[y] for row in table}) != n
+    ]
+    found += [
+        DistributivityViolation(a, b, c)
+        for a, b, c in itertools.product(range(n), repeat=3)
+        if table[table[a][b]][c] != table[table[a][c]][table[b][c]]
+    ]
+    return found
 
 
 class TestValidation:
@@ -53,6 +69,13 @@ class TestValidation:
     def test_invertibility_violation(self):
         violations = axiom_violations([[0, 1], [1, 1]])
         assert InvertibilityViolation(1) in violations
+
+    def test_a_permutation_rack_fails_idempotence_alone(self):
+        # x > y = x + 1 mod n: each column is a bijection and the table is
+        # self-distributive, but no symmetry fixes its own point.
+        for n in range(2, 6):
+            table = [[(x + 1) % n] * n for x in range(n)]
+            assert axiom_violations(table) == [IdempotenceViolation(x) for x in range(n)]
 
     def test_distributivity_violation_alone(self):
         # columns: identity, (0 2), (0 1); idempotence and invertibility hold
@@ -73,6 +96,22 @@ class TestValidation:
         assert IdempotenceViolation(1) in violations
         assert InvertibilityViolation(0) in violations
         assert kinds >= {IdempotenceViolation, InvertibilityViolation}
+
+    def test_matches_the_ordered_scans_on_perturbed_census_tables(self, censuses):
+        # Every census table of orders 1-6, and seeded copies with one cell
+        # changed, so both the whole-column check and the scans are reached.
+        rng = random.Random(3141)
+        failing = 0
+        for n in range(1, 7):
+            for q in censuses.brute(n).tables:
+                assert axiom_violations(q.table) == _ordered_scans(q.table) == []
+                for _ in range(4):
+                    rows = [list(row) for row in q.table]
+                    rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+                    expected = _ordered_scans(rows)
+                    assert axiom_violations(rows) == expected
+                    failing += bool(expected)
+        assert failing > 300
 
     def test_ragged_table_rejected(self):
         with pytest.raises(ValueError):
@@ -493,6 +532,17 @@ class TestIsomorphism:
                 ]
                 assert list(a._isomorphisms(b)) == expected
 
+    def test_signatures_move_with_relabeling(self, censuses):
+        # sigma sends x's signature to sigma(x), on seeded relabelings of
+        # every class of orders 1-5.
+        rng = random.Random(2718)
+        for n in range(1, 6):
+            for q in censuses.brute(n).tables:
+                for _ in range(3):
+                    images = tuple(rng.sample(range(n), n))
+                    moved = q.relabel(Permutation(images))._signatures()
+                    assert [moved[images[x]] for x in range(n)] == q._signatures()
+
     def test_canonical_form_members(self, t3):
         assert trivial_quandle(3).canonical_form() == trivial_quandle(3)
         assert t3.canonical_form() == t3
@@ -560,3 +610,26 @@ class TestIsomorphism:
             if is_quandle_table(table):
                 seen.add(Quandle(table).canonical_form().table)
         assert len(seen) == 3
+
+
+class TestIsomorphismClasses:
+    def test_no_input(self):
+        assert isomorphism_classes([]) == []
+
+    def test_refuses_a_member_that_is_not_a_quandle(self, t3):
+        with pytest.raises(TypeError, match="expected a Quandle, not list"):
+            isomorphism_classes([t3, [[0]]])
+
+    def test_seeded_relabelings_give_back_the_census(self, censuses):
+        rng = random.Random(1618)
+        for n in range(1, 6):
+            tables = censuses.brute(n).tables
+            shuffled = [_seeded_relabeling(q, rng) for q in tables for _ in range(2)]
+            rng.shuffle(shuffled)
+            assert isomorphism_classes(shuffled) == list(tables)
+
+    def test_orders_may_mix(self, t3, q3):
+        classes = isomorphism_classes([trivial_quandle(2), q3, t3, trivial_quandle(2)])
+        assert classes == sorted(
+            [trivial_quandle(2), q3.canonical_form(), t3], key=lambda q: q.table
+        )
