@@ -123,9 +123,8 @@ def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
 
     Range errors are reported first; structural axioms are only checked on
     in-range tables so the checks cannot raise.  An empty or ragged table is
-    not a table of any order and raises ValueError.  An in-range table is
-    first checked a whole column at a time; the ordered per-cell scans run
-    only on a table that fails, to list its violations.
+    not a table of any order and raises ValueError.  The structural axioms
+    are read off whole columns, so a valid table costs one pass over them.
     """
     n = len(table)
     if not n:
@@ -141,25 +140,20 @@ def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
                 violations.append(RangeViolation(x, y, int(value)))
     if violations:
         return violations
-    # S_y fixes y, S_y is a bijection, and (a > b) > c == (a > c) > (b > c)
-    # for every a at once: S_b then S_c equals S_c then S_{b > c}.
+    # Column y is S_y.  S_y fixes y, S_y is a bijection, and
+    # (a > b) > c == (a > c) > (b > c) for every a at once: S_b then S_c
+    # equals S_c then S_{b > c}, and each a where they differ is a failure.
     columns = tuple(zip(*table))
     acts = [itemgetter(*column) for column in columns]
-    if all(column[y] == y and len(set(column)) == n for y, column in enumerate(columns)) and all(
-        acts[b](column) == acts[c](columns[bc])
-        for c, column in enumerate(columns)
-        for b, bc in enumerate(column)
-    ):
-        return violations
-    for x in range(n):
-        if table[x][x] != x:
-            violations.append(IdempotenceViolation(x))
-    for y in range(n):
-        if len({table[x][y] for x in range(n)}) != n:
-            violations.append(InvertibilityViolation(y))
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if table[table[a][b]][c] != table[table[a][c]][table[b][c]]:
-            violations.append(DistributivityViolation(a, b, c))
+    violations += [IdempotenceViolation(y) for y, col in enumerate(columns) if col[y] != y]
+    violations += [InvertibilityViolation(y) for y, col in enumerate(columns) if len(set(col)) != n]
+    failures = []
+    for c, column in enumerate(columns):
+        for b, bc in enumerate(column):
+            left, right = acts[b](column), acts[c](columns[bc])
+            if left != right:
+                failures += [(a, b, c) for a in range(n) if left[a] != right[a]]
+    violations += [DistributivityViolation(*abc) for abc in sorted(failures)]
     return violations
 
 

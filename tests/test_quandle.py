@@ -99,7 +99,7 @@ class TestValidation:
 
     def test_matches_the_ordered_scans_on_perturbed_census_tables(self, censuses):
         # Every census table of orders 1-6, and seeded copies with one cell
-        # changed, so both the whole-column check and the scans are reached.
+        # changed, so valid tables and tables with each kind of failure are met.
         rng = random.Random(3141)
         failing = 0
         for n in range(1, 7):
