@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_MAX_ORDER, check_order, check_type, ensure
 from .perm import PermGroup, Permutation, generate_group, transitive_subgroups_up_to_conjugacy
+from .perm import _commute
 from .quandle import Quandle
 
 __all__ = [
@@ -73,7 +74,7 @@ class ConnectedSeed:
         stabilizer = self.group.stabilizer(0)
         if self.z not in stabilizer:
             raise ValueError("z must lie in the stabilizer")
-        if any(self.z * h != h * self.z for h in stabilizer.generators):
+        if not all(_commute(self.z, h) for h in stabilizer.generators):
             raise ValueError("z must be central in the stabilizer")
         object.__setattr__(self, "stabilizer", stabilizer)
         object.__setattr__(self, "reps", tuple(reps[k] for k in range(self.group.degree)))

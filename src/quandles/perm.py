@@ -11,9 +11,13 @@ both builds a group from generators and checks a given element set for
 closure.  Exhaustive element sets are deliberate: the library
 targets degrees up to about 7 (|S_7| = 5040), where exhaustive
 representations are simpler to audit than stabilizer chains and still fast.
+Centers and conjugates are read off image tuples and build one Permutation
+per result, not one per product.
 The conjugacy-class search over subgroups is the one genuinely heavy
 operation; it runs on a cached, vectorized index of S_n (see
-_SymmetricIndex), which nothing else in the package uses.
+_SymmetricIndex), which nothing else in the package uses.  It derives each
+new class's generators from its parent's by conjugation, so it never scans
+a class representative for them.
 """
 
 from __future__ import annotations
@@ -76,13 +80,22 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
-        """Permutation sending a -> b for consecutive entries of each cycle."""
+        """Permutation sending a -> b for consecutive entries of each cycle.
+
+        The cycles are disjoint: a point written twice, within one cycle or
+        across two, raises ValueError.  A 1-cycle such as (1,) fixes its point.
+        """
         check_int(degree, "degree")
         images = list(range(degree))
+        written: list[int] = []
         for cycle in cycles:
             points = [_as_point(point, degree) for point in cycle]
+            written += points
             for a, b in zip(points, points[1:] + points[:1]):
                 images[a] = b
+        if len(set(written)) != len(written):
+            twice = next(x for k, x in enumerate(written) if x in written[:k])
+            raise ValueError(f"point {twice} appears twice in the cycles")
         return cls(tuple(images))
 
     @property
@@ -103,15 +116,14 @@ class Permutation:
         return result
 
     def inverse(self) -> "Permutation":
-        images = [0] * len(self.images)
-        for k, v in enumerate(self.images):
-            images[v] = k
-        return Permutation(tuple(images))
+        return Permutation(_inverse_images(self.images))
 
     def conjugated_by(self, g: "Permutation") -> "Permutation":
-        """g^-1 * self * g."""
+        """g^-1 * self * g: apply g^-1, then self, then g."""
         check_type(g, Permutation)
-        return g.inverse() * self * g
+        if g.degree != self.degree:
+            raise ValueError(f"degree mismatch: {g.degree} != {self.degree}")
+        return Permutation(tuple(g.images[self.images[x]] for x in _inverse_images(g.images)))
 
     def is_identity(self) -> bool:
         return all(k == v for k, v in enumerate(self.images))
@@ -161,6 +173,19 @@ def _cycle_type(images: Sequence[int]) -> tuple[int, ...]:
         if length:
             lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def _inverse_images(images: Sequence[int]) -> tuple[int, ...]:
+    """Images of the inverse of the permutation with these images."""
+    inverse = [0] * len(images)
+    for k, v in enumerate(images):
+        inverse[v] = k
+    return tuple(inverse)
+
+
+def _commute(p: Permutation, q: Permutation) -> bool:
+    """Whether p * q == q * p, read off the images: q[p[i]] == p[q[i]] for every i."""
+    return [q.images[v] for v in p.images] == [p.images[v] for v in q.images]
 
 
 def _as_point(point: object, degree: int) -> int:
@@ -302,7 +327,7 @@ class PermGroup:
         return self.degree == other.degree and self._members <= other._members
 
     def is_abelian(self) -> bool:
-        return all(a * b == b * a for a, b in itertools.combinations(self.generators, 2))
+        return all(_commute(a, b) for a, b in itertools.combinations(self.generators, 2))
 
     def orbit(self, point: int) -> tuple[int, ...]:
         point = _as_point(point, self.degree)
@@ -313,7 +338,7 @@ class PermGroup:
 
     def center(self) -> list[Permutation]:
         """Elements commuting with the whole group, sorted."""
-        return [x for x in self.elements if all(x * g == g * x for g in self.generators)]
+        return [x for x in self.elements if all(_commute(x, g) for g in self.generators)]
 
     def stabilizer(self, point: int) -> "PermGroup":
         """Subgroup fixing the point, computed once per point and group."""
@@ -446,7 +471,9 @@ class _SymmetricIndex:
             maps.append(self.lookup(power))
         return tuple(maps)
 
-    def extension_reps(self, subgroup_gens: Sequence[int], normalizer: np.ndarray) -> np.ndarray:
+    def extension_reps(
+        self, subgroup: np.ndarray, subgroup_gens: Sequence[int], normalizer: np.ndarray
+    ) -> np.ndarray:
         """One element g per class of cyclic extensions <H, g>, H left out.
 
         <H, g> depends only on the double coset H g H, and conjugating g by
@@ -457,9 +484,13 @@ class _SymmetricIndex:
         x -> x^k (h in H, c in N(H), k from power_maps) is enough.  Each map
         is a bijection of S_n that maps H onto H, so H itself is still
         exactly the orbit of the identity; g and g^-1 share one orbit.
+        x -> x^-1 is a power map, and with it x -> h x gives x -> x h^-1
+        and conjugation by h.  So only N(H)'s generators beyond H's get a
+        conjugation map, and only N(H)/H costs closures.
         """
         maps = [self.product_map(h) for h in subgroup_gens]
-        maps.extend(self.conjugation_map(c) for c in self.greedy_generators(normalizer))
+        normalizer_gens = self.greedy_generators(normalizer, subgroup, subgroup_gens)
+        maps.extend(self.conjugation_map(c) for c in normalizer_gens)
         maps.extend(self.power_maps)
         return self.orbit_minima(maps)[1:]
 
@@ -487,15 +518,16 @@ class _SymmetricIndex:
 
     def canonical_subgroup(
         self, elements: np.ndarray, generators: Sequence[int]
-    ) -> tuple[tuple[int, ...], set[bytes], np.ndarray]:
+    ) -> tuple[tuple[int, ...], set[bytes], np.ndarray, int]:
         """Lexicographically least conjugate of the subgroup, over all of S_n.
 
-        Returns (least, keys, normalizer): the sorted element indices of the
-        least conjugate, the _subgroup_key of every conjugate g H g^-1 (the
-        subgroup itself included), and the sorted normalizer of the least
-        conjugate.  g H g^-1 depends only on the coset g H, so one g per
-        coset is conjugated.  Big-endian keys of equal width order as their
-        index lists do, so the least key is the least conjugate.
+        Returns (least, keys, normalizer, g0): the sorted element indices of
+        the least conjugate, the _subgroup_key of every conjugate g H g^-1
+        (the subgroup itself included), the sorted normalizer of the least
+        conjugate, and one g0 with g0 H g0^-1 least.  g H g^-1 depends only
+        on the coset g H, so one g per coset is conjugated.  Big-endian keys
+        of equal width order as their index lists do, so the least key is
+        the least conjugate.
         """
         m = int(elements.size)
         rows = self.arr[elements]
@@ -517,23 +549,29 @@ class _SymmetricIndex:
         cosets = self.arr[hits][:, rows[:, self.inverse_rows[hits[0]]]]  # g(h(c^-1(x)))
         normalizer = np.sort(self.lookup(cosets).reshape(-1))
         canon = tuple(np.frombuffer(least, dtype=_KEY_DTYPE).tolist())
-        return canon, set(conjugates), normalizer
+        return canon, set(conjugates), normalizer, int(hits[0])
 
-    def greedy_generators(self, elements: np.ndarray) -> tuple[int, ...]:
-        """Small generating set: scan sorted elements, keep what extends."""
-        gens: list[int] = []
-        closed = np.array([self.identity], dtype=np.int64)
+    def greedy_generators(
+        self, elements: np.ndarray, subgroup: np.ndarray, subgroup_gens: Sequence[int]
+    ) -> tuple[int, ...]:
+        """Elements that, with subgroup_gens, generate the group: scan, keep what extends.
+
+        subgroup holds the sorted elements that subgroup_gens generate.  The
+        scan of the group's sorted elements keeps each one not yet generated,
+        growing the closure from the subgroup, and returns those it kept.
+        """
+        gens = list(subgroup_gens)
+        closed = subgroup
         current = np.zeros(self.size, dtype=bool)
         current[closed] = True
         for e in elements.tolist():
-            if current[e]:
-                continue
-            gens.append(e)
-            closed = self.closure(gens, start=closed)
-            current[closed] = True
             if closed.size == elements.size:
                 break
-        return tuple(gens)
+            if not current[e]:
+                gens.append(e)
+                closed = self.closure(gens, start=closed)
+                current[closed] = True
+        return tuple(gens[len(subgroup_gens) :])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -566,48 +604,53 @@ def _subgroup_key(elements: np.ndarray) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _subgroup_classes(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def _subgroup_classes(n: int) -> tuple[tuple[int, ...], ...]:
     """Conjugacy-class representatives of all subgroups of S_n.
 
-    Entries are (elements, generators) index tuples, elements being the
-    lexicographically least conjugate in the class, sorted by (order,
-    elements).  Search (cyclic extension, Neubueser 1960): extend each
-    class representative H by one new element g, one per orbit of H-double
-    cosets under N(H) and the power maps (extension_reps), and close,
-    growing the closure from H.  The keys of every conjugate of every class
-    found so far form one set, so a closure outside it is a new class, and
-    each class is canonicalized exactly once.
+    Each is the sorted element index tuple of the lexicographically least
+    conjugate in its class, and they are sorted by (order, elements).
+    Search (cyclic extension, Neubueser 1960): extend each class
+    representative H by one new element g, one per orbit of H-double cosets
+    under N(H) and the power maps (extension_reps), and close, growing the
+    closure from H.  The keys of every conjugate of every class found so
+    far form one set, so a closure outside it is a new class, and each
+    class is canonicalized exactly once.  The new class's generators are
+    H's and g, carried onto its least conjugate by the g0 that
+    canonical_subgroup found, so no representative is scanned for them.
     """
     idx = _sym_index(n)
-    classes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    classes: list[tuple[int, ...]] = []
     pending: list[tuple[np.ndarray, tuple[int, ...], np.ndarray]] = []
     known: set[bytes] = set()
 
     def add_class(elements: np.ndarray, generators: tuple[int, ...]) -> None:
-        canon, conjugates, normalizer = idx.canonical_subgroup(elements, generators)
+        canon, conjugates, normalizer, g0 = idx.canonical_subgroup(elements, generators)
         ensure(known.isdisjoint(conjugates), "a closure was neither known nor a new class")
         known.update(conjugates)
         canon_arr = np.array(canon, dtype=np.int64)
-        gens = idx.greedy_generators(canon_arr)
-        classes.append((canon, gens))
-        pending.append((canon_arr, gens, normalizer))
+        rows = idx.arr[list(generators)].reshape(-1, n)
+        gens = idx.lookup(idx.arr[g0][rows[:, idx.inverse_rows[g0]]])  # g0 x g0^-1, as canon's
+        at = np.minimum(np.searchsorted(canon_arr, gens), canon_arr.size - 1)
+        ensure(np.array_equal(canon_arr[at], gens), "a conjugated generator left its class")
+        classes.append(canon)
+        pending.append((canon_arr, tuple(gens.tolist()), normalizer))
 
     add_class(np.array([idx.identity], dtype=np.int64), ())
     while pending:
         rep_arr, gens, normalizer = pending.pop()
-        for g in idx.extension_reps(gens, normalizer).tolist():
+        for g in idx.extension_reps(rep_arr, gens, normalizer).tolist():
             extended = gens + (g,)
             new = idx.closure(extended, start=rep_arr)
             if _subgroup_key(new) not in known:
                 add_class(new, extended)
-    return tuple(sorted(classes, key=lambda entry: (len(entry[0]), entry[0])))
+    return tuple(sorted(classes, key=lambda elements: (len(elements), elements)))
 
 
 @lru_cache(maxsize=None)
 def _transitive_class_groups(n: int) -> tuple[PermGroup, ...]:
     idx = _sym_index(n)
     groups = []
-    for elements, _ in _subgroup_classes(n):
+    for elements in _subgroup_classes(n):
         rows = idx.arr[list(elements)]
         if len(set(rows[:, 0].tolist())) != n:
             continue
@@ -621,7 +664,7 @@ def transitive_subgroups_up_to_conjugacy(n: int) -> list[PermGroup]:
     Each representative is the lexicographically least conjugate of its
     class and the list is sorted by (order, element list), so the result is
     fully deterministic.  The first call for a degree runs the subgroup-class
-    search (about 0.1 s at degree 6 and 0.5 s at degree 7 on 2 vCPUs); later
+    search (about 0.05 s at degree 6 and 0.3 s at degree 7 on 2 vCPUs); later
     calls reuse its cached result.
     The degree bound defaults to 7 and follows QUANDLE_MAX_ORDER.
     """

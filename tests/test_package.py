@@ -9,17 +9,23 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import quandles
 from quandles import (
     Census,
     CensusEntry,
     ConnectedSeed,
+    Decomposition,
     DecompositionTree,
+    GammaHom,
     GenerationFailureError,
     PermGroup,
     Permutation,
+    Mesh,
     Quandle,
+    axiom_violations,
     canonical_hom,
     check_generation,
     compose,
@@ -32,10 +38,13 @@ from quandles import (
     evaluate,
     generate_group,
     is_quandle_table,
+    is_valid_mesh,
     realize,
     semidisjoint_union,
     trivial_hom,
     trivial_quandle,
+    validate_gamma_hom,
+    validate_mesh,
 )
 
 # quandles.decompose is the function, so the modules come from sys.modules.
@@ -228,3 +237,76 @@ def test_no_argument_escapes_as_anything_but_a_type_or_value_error():
             except Exception as exc:
                 escaped.append(f"{name}{tuple(type(a).__name__ for a in args)}: {exc!r}")
     assert escaped == []
+
+
+# Well-typed values of the wrong shape: the contract asks for ValueError,
+# never the AttributeError or IndexError that reading them could raise.
+SHAPES = [trivial_quandle(1), trivial_quandle(2), Q3, disjoint_union([Q3, trivial_quandle(1)])]
+
+
+@st.composite
+def ragged_tables(draw):
+    n = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    assume(any(k != n for k in lengths))
+    return [draw(st.lists(st.integers(-1, 6), min_size=k, max_size=k)) for k in lengths]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ragged_tables())
+def test_a_ragged_table_is_a_value_error(table):
+    for call in (Quandle, axiom_violations, is_quandle_table):
+        with pytest.raises(ValueError):
+            call(table)
+
+
+@st.composite
+def wrong_size_hom_matrices(draw):
+    blocks = draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=3))
+    k = len(blocks)
+    sizes = draw(st.lists(st.integers(0, 4), max_size=4))
+    assume(len(sizes) != k or any(m != k for m in sizes))
+    homs = [[trivial_hom(blocks[i % k], blocks[j % k]) for j in range(m)] for i, m in enumerate(sizes)]
+    return blocks, homs
+
+
+@settings(max_examples=100, deadline=None)
+@given(wrong_size_hom_matrices())
+def test_a_hom_matrix_of_the_wrong_size_is_a_value_error(blocks_and_homs):
+    for call in (Mesh, validate_mesh):
+        with pytest.raises(ValueError, match="hom matrix must be"):
+            call(*blocks_and_homs)
+    assert not is_valid_mesh(*blocks_and_homs)
+
+
+@st.composite
+def malformed_assignments(draw):
+    source, target = draw(st.sampled_from(SHAPES)), draw(st.sampled_from(SHAPES))
+    degrees = draw(st.lists(st.integers(1, 5), max_size=5))
+    assume(len(degrees) != source.order or set(degrees) != {target.order})
+    assignment = [Permutation(draw(st.permutations(range(d)))) for d in degrees]
+    return source, target, assignment
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_assignments())
+def test_an_assignment_of_the_wrong_length_or_degrees_is_a_value_error(args):
+    for call in (GammaHom, validate_gamma_hom):
+        with pytest.raises(ValueError):
+            call(*args)
+
+
+@st.composite
+def wrong_length_layouts(draw):
+    dec = decompose(draw(st.sampled_from(SHAPES)))
+    kept = dec.layout[: draw(st.integers(0, len(dec.layout)))]
+    extra = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3))
+    assume(len(kept) + len(extra) != len(dec.layout))
+    return dec.mesh, kept + tuple(extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wrong_length_layouts())
+def test_a_layout_of_the_wrong_length_is_a_value_error(mesh_and_layout):
+    with pytest.raises(ValueError, match="layout does not match"):
+        Decomposition(*mesh_and_layout)
