@@ -369,10 +369,11 @@ class _SymmetricIndex:
     Permutations are identified with their index into the lexicographic
     enumeration of image arrays; subgroups are sorted index arrays.  Image
     rows compose by fancy indexing and are mapped back to indices through
-    the dense table rank, indexed by the row read as a base-n number, so no
-    n! x n! multiplication table is ever materialized.  arr holds the image
-    rows and inverse_rows the image rows of their inverses, both int8 and in
-    lexicographic order of arr; the identity is index 0.
+    the dense table rank, indexed by the row's first n-1 images read as a
+    base-n number (they fix the last), so no n! x n! multiplication table
+    is ever materialized.  arr holds the image rows and inverse_rows the
+    image rows of their inverses, both int8 and in lexicographic order of
+    arr; the identity is index 0.
     """
 
     def __init__(self, n: int):
@@ -380,10 +381,10 @@ class _SymmetricIndex:
         self.size = math.factorial(n)
         flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
         self.arr = np.fromiter(flat, dtype=np.int8, count=self.size * n).reshape(self.size, n)
-        self.weights = np.array([n**k for k in range(n - 1, -1, -1)], dtype=np.int64)
+        self.weights = np.array([n**k for k in range(n - 2, -1, -1)] + [0], dtype=np.int64)
         self.inverse_rows = np.argsort(self.arr, axis=1).astype(np.int8)
         self.identity = 0
-        self.rank = np.zeros(n**n, dtype=np.int32)  # rank[code] = index
+        self.rank = np.zeros(n ** (n - 1), dtype=np.int32)  # rank[code] = index
         self.rank[self.arr.astype(np.int64) @ self.weights] = np.arange(self.size, dtype=np.int32)
         self._maps: dict[tuple[str, int], np.ndarray] = {}
 

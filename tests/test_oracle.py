@@ -9,6 +9,7 @@ column search must reproduce that set exactly.
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 
 import pytest
@@ -126,22 +127,84 @@ def _type_rank(images):
     return tuple(sorted(Permutation(images).cycle_type(), reverse=True))
 
 
+@functools.cache
+def _pin_centralizer(pin):
+    """The relabelings that fix 0 and commute with the pin, by a scan of S_n."""
+    p = Permutation(pin)
+    return [
+        s for s in itertools.permutations(range(len(pin)))
+        if s[0] == 0 and Permutation(s) * p == p * Permutation(s)
+    ]
+
+
+def _relabel(table, sigma):
+    """The table with x renamed to sigma(x): new[sigma(x)][sigma(y)] = sigma(old[x][y])."""
+    n = len(table)
+    new = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            new[sigma[x]][sigma[y]] = sigma[table[x][y]]
+    return tuple(map(tuple, new))
+
+
+def _column_tuple(table):
+    """The columns at 1..n-1, each as its tuple of images."""
+    return tuple(zip(*table))[1:]
+
+
+def _orbit_minima(tables):
+    """The least table, by column tuple, of each orbit of its pin's centralizer, sorted."""
+    minima, seen = [], set()
+    for table in tables:
+        if table not in seen:
+            orbit = {_relabel(table, s) for s in _pin_centralizer(tuple(row[0] for row in table))}
+            seen |= orbit
+            minima.append(min(orbit, key=_column_tuple))
+    return sorted(minima)
+
+
 class TestMaxTypePin:
     """Column 0 is pinned to a representative of the largest cycle type."""
 
-    # Leaves of labeled_tables(n, _cycle_type_columns(n)) for n = 1..7.
-    LEAF_COUNTS = {1: 1, 2: 1, 3: 3, 4: 7, 5: 33, 6: 181, 7: 1405}
+    # Leaves of labeled_tables(n, _cycle_type_columns(n)) for n = 1..7: one
+    # per orbit of the pin's centralizer on the max-type labelings.
+    LEAF_COUNTS = {1: 1, 2: 1, 3: 3, 4: 7, 5: 25, 6: 88, 7: 389}
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_pinned_leaves_are_the_max_type_labelings(self, n):
-        # Filter the exhaustive reference by the pin's definition.
+        # Filter the exhaustive reference by the pin's definition, then keep
+        # the least labeling of each orbit of the pin's centralizer.
         reps = set(_cycle_type_columns(n))
-        expected = [
+        max_type = [
             t for t in labeled_tables(n)
             if (first := tuple(row[0] for row in t)) in reps
             and all(_type_rank(col) <= _type_rank(first) for col in zip(*t))
         ]
-        assert labeled_tables(n, _cycle_type_columns(n)) == expected
+        assert labeled_tables(n, _cycle_type_columns(n)) == _orbit_minima(max_type)
+
+    @pytest.mark.slow
+    def test_order_8_transposition_pin_keeps_each_orbit_minimum(self):
+        # The pin with the largest centralizer (order 240) at order 8: 4543
+        # labelings in 141 orbits.  A branch test that did not narrow its
+        # stabilizer by the branched columns kept 136 of them.
+        rank = (2, 1, 1, 1, 1, 1, 1)
+        (pin,) = [c for c in _cycle_type_columns(8) if _type_rank(c) == rank]
+        offered = [[c for c in col if _type_rank(c) <= rank] for col in _column_candidates(8)[1:]]
+        labelings = _search(8, [[pin]] + offered)
+        assert len(labelings) == 4543
+        assert labeled_tables(8, [pin]) == _orbit_minima(labelings)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_no_two_leaves_under_one_pin_are_related_by_its_centralizer(self, n):
+        by_pin = {}
+        for table in labeled_tables(n, _cycle_type_columns(n)):
+            by_pin.setdefault(tuple(row[0] for row in table), set()).add(table)
+        for pin, tables in by_pin.items():
+            centralizer = _pin_centralizer(pin)
+            for table in tables:
+                for sigma in centralizer:
+                    image = _relabel(table, sigma)
+                    assert image == table or image not in tables
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_no_column_outranks_column_0(self, n):
@@ -215,7 +278,7 @@ class TestCensus:
     def test_order_6_builds_one_inner_group_per_class(self, monkeypatch):
         # Point signatures are read off the table, so the leaves build no
         # inner group; the census's flags build one per class.  The bucket
-        # key leaves 132 isomorphism tests among the 181 leaves.
+        # key leaves 31 isomorphism tests among the 88 leaves.
         counts = {"groups": 0, "tests": 0}
         generate, is_isomorphic = quandle.generate_group, Quandle.is_isomorphic
 
@@ -230,7 +293,7 @@ class TestCensus:
         monkeypatch.setattr(quandle, "generate_group", counted_generate)
         monkeypatch.setattr(Quandle, "is_isomorphic", counted_is_isomorphic)
         assert len(enumerate_all(6)) == 73
-        assert counts == {"groups": 73, "tests": 132}
+        assert counts == {"groups": 73, "tests": 31}
 
     def test_connected_flags_are_derived(self, censuses, trivial4, t3):
         assert Census(4, (trivial4,)).connected_flags == (False,)
