@@ -45,10 +45,11 @@ def resolve_bound(default: int) -> int:
     return value
 
 
-def check_int(value: object, noun: str = "order") -> None:
-    """TypeError unless is_int(value), so no comparison ever sees a non-int."""
+def check_int(value: object, noun: str = "order") -> int:
+    """The value as an int; TypeError unless is_int(value), so no comparison ever sees a non-int."""
     if not is_int(value):
         raise TypeError(f"{noun} must be an int, not {type(value).__name__}")
+    return int(value)
 
 
 def check_order(n: int, default: int | None = None, noun: str = "order") -> None:

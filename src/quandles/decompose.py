@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .augment import GammaHom, check_gamma_hom, trivial_hom
-from .config import check_type, ensure
+from .config import check_int, check_type, ensure
 from .perm import Permutation
 from .quandle import Quandle
 
@@ -227,8 +227,9 @@ class Decomposition:
 
     layout[g] = (block index, local index) places each original point; the
     blocks are the orbits in order of least element, each sorted.  A mesh
-    that is not a Mesh raises TypeError, and a layout that does not place
-    every block point exactly once raises ValueError.
+    that is not a Mesh, or a layout index that is not an int, raises
+    TypeError, and a layout that does not place every block point exactly
+    once raises ValueError.  The layout is kept as a tuple of int pairs.
     """
 
     mesh: Mesh
@@ -236,8 +237,10 @@ class Decomposition:
 
     def __post_init__(self) -> None:
         check_type(self.mesh, Mesh)
-        if sorted(self.layout) != list(_block_order(self.mesh.blocks)):
+        layout = tuple(tuple(check_int(v, "layout index") for v in entry) for entry in self.layout)
+        if sorted(layout) != list(_block_order(self.mesh.blocks)):
             raise ValueError("layout does not match the mesh block sizes")
+        object.__setattr__(self, "layout", layout)
 
     @property
     def blocks(self) -> tuple[Quandle, ...]:

@@ -73,7 +73,8 @@ class Census:
     """All isomorphism classes of one order, canonical forms sorted.
 
     A field of the wrong type raises TypeError and a table of another order
-    ValueError.  connected_flags is derived: each table's is_connected().
+    ValueError.  Any iterable of tables is kept as a tuple, so a Census is
+    hashable.  connected_flags is derived: each table's is_connected().
     """
 
     order: int
@@ -84,11 +85,13 @@ class Census:
         check_int(self.order)
         if self.order < 1:
             raise ValueError("order must be at least 1")
-        for q in self.tables:
+        tables = tuple(self.tables)
+        for q in tables:
             check_type(q, Quandle)
             if q.order != self.order:
                 raise ValueError(f"a table of order {q.order} in a census of order {self.order}")
-        object.__setattr__(self, "connected_flags", tuple(q.is_connected() for q in self.tables))
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "connected_flags", tuple(q.is_connected() for q in tables))
 
     def __len__(self) -> int:
         return len(self.tables)

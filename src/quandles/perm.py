@@ -8,16 +8,16 @@ reproducible from run to run.
 
 Groups carry their full element sets, and one closure routine (_generate)
 both builds a group from generators and checks a given element set for
-closure.  Exhaustive element sets are deliberate: the library
-targets degrees up to about 7 (|S_7| = 5040), where exhaustive
+closure.  Exhaustive element sets are deliberate: the library stops at
+degree HARD_MAX_ORDER = 8 (|S_8| = 40320), where exhaustive
 representations are simpler to audit than stabilizer chains and still fast.
 Centers and conjugates are read off image tuples and build one Permutation
 per result, not one per product.
 The conjugacy-class search over subgroups is the one genuinely heavy
-operation; it runs on a cached, vectorized index of S_n (see
-_SymmetricIndex), which nothing else in the package uses.  It derives each
-new class's generators from its parent's by conjugation, so it never scans
-a class representative for them.
+operation; it runs on a vectorized index of S_n (see _SymmetricIndex) that
+each search builds for itself and drops when it returns, and nothing else
+in the package reads it.  It derives each new class's generators from its
+parent's by conjugation, so it never scans a class representative for them.
 """
 
 from __future__ import annotations
@@ -242,19 +242,13 @@ def generate_group(generators: Iterable[Permutation], degree: int) -> "PermGroup
     Its generators are derived from its elements, like every PermGroup's,
     so they need not be the ones given.
     """
-    degree = _group_degree(degree)
+    degree = check_int(degree, "group degree")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     gens = tuple(generators)
     _check_members(gens, degree)
     _, elements = _generate([g.images for g in gens], degree)
     return PermGroup(degree, tuple(map(Permutation, sorted(elements))))
-
-
-def _group_degree(degree: object) -> int:
-    """The degree as an int; TypeError for a bool or anything that is not an integer."""
-    check_int(degree, "group degree")
-    return int(degree)
 
 
 def _check_members(perms: Iterable[object], degree: int) -> None:
@@ -283,7 +277,7 @@ class PermGroup:
     generators: tuple[Permutation, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        degree = _group_degree(self.degree)
+        degree = check_int(self.degree, "group degree")
         elements = tuple(self.elements)
         _check_members(elements, degree)
         # Image tuples, not Permutations: their hash builds no 1-tuple per element.
@@ -356,13 +350,6 @@ class PermGroup:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _sym_index(n: int) -> "_SymmetricIndex":
-    """The index of S_n for the subgroup search; degrees above HARD_MAX_ORDER are refused."""
-    check_order(n)
-    return _SymmetricIndex(n)
-
-
 class _SymmetricIndex:
     """All of S_n in lexicographic order, with vectorized composition.
 
@@ -373,10 +360,12 @@ class _SymmetricIndex:
     base-n number (they fix the last), so no n! x n! multiplication table
     is ever materialized.  arr holds the image rows and inverse_rows the
     image rows of their inverses, both int8 and in lexicographic order of
-    arr; the identity is index 0.
+    arr; the identity is index 0.  Degrees above HARD_MAX_ORDER are refused
+    before anything is allocated.
     """
 
     def __init__(self, n: int):
+        check_order(n)
         self.n = n
         self.size = math.factorial(n)
         flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
@@ -391,9 +380,6 @@ class _SymmetricIndex:
     def lookup(self, images: np.ndarray) -> np.ndarray:
         """Indices of the permutations whose image rows are given."""
         return self.rank[images.astype(np.int64) @ self.weights]
-
-    def permutation(self, index: int) -> Permutation:
-        return Permutation(tuple(int(v) for v in self.arr[index]))
 
     def closure(self, generators: Iterable[int], start: np.ndarray | None = None) -> np.ndarray:
         """Sorted element indices of the subgroup generated.
@@ -618,8 +604,9 @@ def _subgroup_classes(n: int) -> tuple[tuple[int, ...], ...]:
     class is canonicalized exactly once.  The new class's generators are
     H's and g, carried onto its least conjugate by the g0 that
     canonical_subgroup found, so no representative is scanned for them.
+    The index is local to the call, so it and its maps are freed on return.
     """
-    idx = _sym_index(n)
+    idx = _SymmetricIndex(n)
     classes: list[tuple[int, ...]] = []
     pending: list[tuple[np.ndarray, tuple[int, ...], np.ndarray]] = []
     known: set[bytes] = set()
@@ -649,13 +636,14 @@ def _subgroup_classes(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _transitive_class_groups(n: int) -> tuple[PermGroup, ...]:
-    idx = _sym_index(n)
+    classes = _subgroup_classes(n)
+    # The lexicographic order the index numbers S_n in.
+    perms = list(itertools.permutations(range(n)))
     groups = []
-    for elements in _subgroup_classes(n):
-        rows = idx.arr[list(elements)]
-        if len(set(rows[:, 0].tolist())) != n:
-            continue
-        groups.append(PermGroup(n, tuple(map(Permutation, rows.tolist()))))
+    for elements in classes:
+        rows = [perms[e] for e in elements]
+        if len({row[0] for row in rows}) == n:
+            groups.append(PermGroup(n, tuple(map(Permutation, rows))))
     return tuple(groups)
 
 

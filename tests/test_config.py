@@ -11,7 +11,7 @@ from quandles.oracle import enumerate_all
 from quandles.perm import (
     PermGroup,
     Permutation,
-    _sym_index,
+    _SymmetricIndex,
     _transitive_class_groups,
     generate_group,
     transitive_subgroups_up_to_conjugacy,
@@ -147,6 +147,6 @@ class TestCallerMessages:
                     call(n)
 
     def test_hard_bound_callers(self):
-        assert message(_sym_index, 9) == (BoundError, "order 9 exceeds the hard bound 8")
+        assert message(_SymmetricIndex, 9) == (BoundError, "order 9 exceeds the hard bound 8")
         q = dihedral_quandle(9)
         assert message(q.automorphism_group) == (BoundError, "order 9 exceeds the hard bound 8")

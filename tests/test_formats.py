@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quandles.augment import canonical_hom, trivial_hom
-from quandles.decompose import MeshError, decompose, decomposition_tree
+from quandles.decompose import Decomposition, MeshError, decompose, decomposition_tree
 from quandles.enumeration import enumerate_connected
 from quandles.formats import (
     FormatError,
@@ -190,6 +190,21 @@ class TestCompositeIO:
         # numpy ints pass the one integer rule and are stored as ints.
         from_numpy = layout_from_obj([[np.int64(b), np.int8(x)] for b, x in obj["layout"]], 3)
         assert from_numpy == layout and {type(v) for pair in from_numpy for v in pair} == {int}
+
+    def test_a_decomposition_keeps_any_layout_as_int_pairs(self, q3):
+        # An iterator used to be used up by the check, and a list was kept
+        # as given, so the value was unhashable.
+        dec = decompose(q3.relabel(Permutation((0, 2, 1))))
+        pairs = [[np.int64(b), np.int8(x)] for b, x in dec.layout]
+        for layout in (iter(dec.layout), list(dec.layout), pairs):
+            rebuilt = Decomposition(dec.mesh, layout)
+            assert rebuilt.layout == dec.layout
+            assert {type(v) for pair in rebuilt.layout for v in pair} == {int}
+            assert rebuilt == dec and hash(rebuilt) == hash(dec)
+            assert rebuilt.reassemble() == dec.reassemble()
+            obj = json.loads(canonical_json(decomposition_to_obj(rebuilt)))
+            assert mesh_from_obj(obj) == dec.mesh
+            assert layout_from_obj(obj["layout"], 3) == dec.layout
 
     def test_layout_errors(self):
         with pytest.raises(FormatError):

@@ -304,6 +304,17 @@ class TestCensus:
         with pytest.raises(TypeError):
             Census(4, (trivial4,), (False,))
 
+    def test_tables_are_kept_as_a_tuple(self, censuses):
+        # A generator used to be used up by the type check, leaving no flags,
+        # and a list left the census unequal to its tuple twin and unhashable.
+        census = censuses.brute(3)
+        for tables in ((q for q in census.tables), list(census.tables)):
+            rebuilt = Census(3, tables)
+            assert rebuilt.tables == census.tables
+            assert rebuilt.connected_flags == census.connected_flags
+            assert len(rebuilt) == len(census) == 3
+            assert rebuilt == census and hash(rebuilt) == hash(census)
+
     def test_bound_refusal(self):
         with pytest.raises(ValueError):
             enumerate_all(7)

@@ -139,6 +139,7 @@ SEED3 = realize(Q3)
 # The derived fields cannot be passed, so this tree's levels cannot be
 # grafted onto another quandle of its order.
 TREE = decomposition_tree(disjoint_union([Q3, trivial_quandle(1)]))
+DEC2 = decompose(trivial_quandle(2))  # layout ((0, 0), (1, 0))
 
 
 @pytest.mark.parametrize("call, error", [
@@ -170,6 +171,8 @@ TREE = decomposition_tree(disjoint_union([Q3, trivial_quandle(1)]))
     (lambda: ConnectedSeed(SEED3.group, SEED3.stabilizer, SEED3.z, SEED3.reps), TypeError),
     (lambda: PermGroup(3, (E3, E3)), ValueError),
     (lambda: PermGroup(3, (E3, Permutation((1, 2, 0)))), ValueError),
+    # True == 1 passed the layout check and was written to JSON as true.
+    (lambda: Decomposition(DEC2.mesh, ((0, 0), (True, 0))), TypeError),
 ], ids=[
     "trivial_quandle-float", "trivial_quandle-0", "dihedral_quandle-bool",
     "dihedral_quandle-str", "dihedral_quandle-0", "identity-bool", "identity-0",
@@ -178,7 +181,7 @@ TREE = decomposition_tree(disjoint_union([Q3, trivial_quandle(1)]))
     "CensusEntry-quandle", "CensusEntry-seed", "CensusEntry-inner-order",
     "CensusEntry-not-generating", "DecompositionTree-quandle", "DecompositionTree-children",
     "ConnectedSeed-group", "ConnectedSeed-z", "ConnectedSeed-reps", "PermGroup-repeated-element",
-    "PermGroup-not-closed",
+    "PermGroup-not-closed", "Decomposition-bool-block",
 ])
 def test_a_malformed_value_is_refused(call, error):
     # The library contract: TypeError or ValueError, never AttributeError

@@ -15,6 +15,7 @@ import itertools
 import math
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from quandles.perm import (
     _cycle_type,
     _generate,
     _subgroup_classes,
-    _sym_index,
     _SymmetricIndex,
     _unit_generators,
 )
@@ -721,6 +721,24 @@ class TestTransitiveSubgroups:
             _subgroup_classes.cache_clear()
         assert len(calls) == 535
 
+    def test_the_index_dies_with_its_search(self, monkeypatch):
+        # No cache and no reference cycle may keep the index alive: at degree
+        # 8 its maps hold about 30 MB.  So no gc.collect() before the check.
+        refs = []
+        original = _SymmetricIndex.canonical_subgroup
+
+        def recorded(self, *args):
+            refs.append(weakref.ref(self))
+            return original(self, *args)
+
+        monkeypatch.setattr(_SymmetricIndex, "canonical_subgroup", recorded)
+        _subgroup_classes.cache_clear()
+        try:
+            _subgroup_classes(5)
+        finally:
+            _subgroup_classes.cache_clear()
+        assert refs and all(ref() is None for ref in refs)
+
     @pytest.mark.slow
     def test_degree_7_subgroup_class_count(self):
         assert len(_subgroup_classes(7)) == 96
@@ -733,39 +751,39 @@ class TestTransitiveSubgroups:
 
 class TestSymmetricIndex:
     def test_composition_table_matches(self):
-        idx = _sym_index(3)
-        perms = [idx.permutation(k) for k in range(6)]
+        idx = _SymmetricIndex(3)
+        perms = [Permutation(idx.arr[k]) for k in range(6)]
         for a in range(6):
             for b in range(6):
                 row = idx.arr[b][idx.arr[a]].reshape(1, 3)
-                assert idx.permutation(int(idx.lookup(row)[0])) == perms[a] * perms[b]
+                assert Permutation(idx.arr[idx.lookup(row)[0]]) == perms[a] * perms[b]
 
     def test_inverse_and_identity(self):
-        idx = _sym_index(4)
-        assert idx.permutation(idx.identity).is_identity()
+        idx = _SymmetricIndex(4)
+        assert Permutation(idx.arr[idx.identity]).is_identity()
         for k in [0, 5, 17, 23]:
-            p = idx.permutation(k)
+            p = Permutation(idx.arr[k])
             assert Permutation(tuple(idx.inverse_rows[k])) == p.inverse()
 
     def test_refuses_orders_above_the_hard_bound(self):
         with pytest.raises(BoundError, match="exceeds the hard bound"):
-            _sym_index(HARD_MAX_ORDER + 1)
+            _SymmetricIndex(HARD_MAX_ORDER + 1)
 
     def test_closure_matches_generate_group(self):
-        idx = _sym_index(4)
+        idx = _SymmetricIndex(4)
         gens = [perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)]
         gen_idx = idx.lookup(np.array([g.images for g in gens], dtype=np.int8))
         closed = idx.closure(int(v) for v in gen_idx)
-        got = sorted(idx.permutation(int(e)) for e in closed)
+        got = sorted(Permutation(idx.arr[e]) for e in closed)
         assert got == list(generate_group(gens, 4).elements)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_lookup_inverts_the_rows(self, n):
-        idx = _sym_index(n)
+        idx = _SymmetricIndex(n)
         assert np.array_equal(idx.lookup(idx.arr), np.arange(math.factorial(n)))
 
     def test_closure_grown_from_a_subgroup(self):
-        idx = _sym_index(5)
+        idx = _SymmetricIndex(5)
         rows = np.array([perm((0, 1), degree=5).images, perm((2, 3, 4), degree=5).images])
         a, b = (int(v) for v in idx.lookup(rows.astype(np.int8)))
         parent = idx.closure([a])
@@ -774,8 +792,8 @@ class TestSymmetricIndex:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_power_maps_are_powers_that_keep_the_order(self, n):
-        idx = _sym_index(n)
-        perms = [idx.permutation(x) for x in range(idx.size)]
+        idx = _SymmetricIndex(n)
+        perms = [Permutation(idx.arr[x]) for x in range(idx.size)]
         orders = [math.lcm(*p.cycle_type()) for p in perms]
         exponent = math.lcm(*range(1, n + 1))
         assert len(idx.power_maps) == len(_unit_generators(exponent))
@@ -798,7 +816,7 @@ class TestSymmetricIndex:
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_closure_of_a_transposition_and_an_n_cycle(self, n):
-        idx = _sym_index(n)
+        idx = _SymmetricIndex(n)
         rows = np.array(
             [perm((0, 1), degree=n).images, perm(tuple(range(n)), degree=n).images],
             dtype=np.int8,
@@ -824,22 +842,22 @@ class TestClosureExit:
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_three_cycles_close_to_the_even_indices(self, n):
-        idx = _sym_index(n)
+        idx = _SymmetricIndex(n)
         three_cycles = [perm((0, 1, k), degree=n) for k in range(2, n)]
         got, expected = closed_indices(idx, three_cycles)
-        even = [x for x in range(idx.size) if idx.permutation(x).is_even()]
+        even = [x for x in range(idx.size) if Permutation(idx.arr[x]).is_even()]
         assert got.tolist() == expected.tolist() == even
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_a_transposition_more_closes_to_everything(self, n):
-        idx = _sym_index(n)
+        idx = _SymmetricIndex(n)
         gens = [perm((0, 1, k), degree=n) for k in range(2, n)] + [perm((0, 1), degree=n)]
         got, expected = closed_indices(idx, gens)
         assert got.tolist() == expected.tolist() == list(range(idx.size))
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_point_stabilizer_at_index_n(self, n):
-        idx = _sym_index(n)
+        idx = _SymmetricIndex(n)
         gens = [perm((0, 1), degree=n), perm(tuple(range(n - 1)), degree=n)]
         got, expected = closed_indices(idx, gens)
         assert got.tolist() == expected.tolist()
@@ -848,7 +866,7 @@ class TestClosureExit:
     def test_transitive_pgl_2_5_at_index_6(self):
         # PGL(2, 5) on the projective line, infinity as point 5:
         # x -> x + 1, x -> 2x and x -> -1/x.
-        idx = _sym_index(6)
+        idx = _SymmetricIndex(6)
         gens = [
             perm((0, 1, 2, 3, 4), degree=6),
             perm((1, 2, 4, 3), degree=6),
@@ -860,15 +878,15 @@ class TestClosureExit:
         assert len(set(idx.arr[got, 0].tolist())) == 6
 
     def test_dihedral_at_index_3_in_s4(self):
-        idx = _sym_index(4)
+        idx = _SymmetricIndex(4)
         got, expected = closed_indices(idx, [perm((0, 1, 2, 3), degree=4), perm((0, 2), degree=4)])
         assert got.tolist() == expected.tolist()
         assert got.size == 8
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_parity_vector_matches_is_even(self, n):
-        idx = _sym_index(n)
-        assert idx.even.tolist() == [idx.permutation(x).is_even() for x in range(idx.size)]
+        idx = _SymmetricIndex(n)
+        assert idx.even.tolist() == [Permutation(idx.arr[x]).is_even() for x in range(idx.size)]
         with pytest.raises(ValueError, match="read-only"):
             idx.even[0] = False
 
@@ -876,8 +894,8 @@ class TestClosureExit:
 class TestIndexMaps:
     @pytest.mark.parametrize("n", [4, 5])
     def test_each_map_is_the_products_it_names(self, n):
-        idx = _sym_index(n)
-        perms = [idx.permutation(x) for x in range(idx.size)]
+        idx = _SymmetricIndex(n)
+        perms = [Permutation(idx.arr[x]) for x in range(idx.size)]
         index = {p: x for x, p in enumerate(perms)}
         for e, g in enumerate(perms):
             # x -> g x (g after x), x -> g x g^-1 and x -> x g (x after g),
