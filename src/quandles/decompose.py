@@ -21,9 +21,10 @@ quandle into its inner orbits and reads the homs off the symmetry columns;
 composing the result reproduces the input table bit for bit.
 
 Each result is built and checked once and kept: the decomposition of a
-quandle in that quandle's cache, and the reassembled quandle in its
-Decomposition.  So decompose's postcondition builds the quandle that
-DecompositionTree.replay returns.
+quandle in the cache its table shares among live quandles, and the
+reassembled quandle in its Decomposition.  So decompose's postcondition
+builds the quandle that DecompositionTree.replay returns, and a block that
+recurs across trees is decomposed once while a quandle with its table lives.
 """
 
 from __future__ import annotations
@@ -266,10 +267,11 @@ def decompose(q: Quandle) -> Decomposition:
     y of block i to the restriction of q's symmetry at y to block j, in
     local labels.  reassemble() returns a quandle equal to q.
 
-    The result is computed and checked once per quandle object and kept in
-    its cache, so later calls on the same object, decomposition_tree's
-    among them, return the same Decomposition.  An equal but distinct
-    Quandle is decomposed and checked afresh.
+    The result is computed and checked once per table and kept in the cache
+    that every live quandle with that table shares, so later calls on the
+    same or an equal quandle, decomposition_tree's among them, return the
+    same Decomposition.  Once no quandle with the table is alive, the next
+    call decomposes and checks afresh.
     """
     check_type(q, Quandle)
     if "decomposition" not in q._cache:

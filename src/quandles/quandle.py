@@ -14,13 +14,16 @@ each other the way their base points act.  The group generated by all
 symmetries is the inner group; its orbits partition the quandle, and the
 quandle is connected when there is one orbit.
 
-A Quandle is immutable, so each structure derived from its table is built
-at most once per object and kept in its private cache: the symmetries, the
-inner group, the orbits, the point signatures, the automorphism group, the
-canonical form, and the orbit decomposition (stored there by
-decompose.decompose), which in turn keeps the reassembled quandle.  Methods
-returning lists return fresh copies.  Copies and unpickled quandles are
-rebuilt through the constructor and start with an empty cache.
+A Quandle is immutable and each structure derived from its table is a
+function of the table alone, so there is one cache per table among live
+quandles: the symmetries, the inner group, the orbits, the point
+signatures, the automorphism group, the canonical form, and the orbit
+decomposition (stored there by decompose.decompose), which in turn keeps
+the reassembled quandle.  Each is built at most once while a quandle with
+that table lives.  Every construction, copies and unpickled quandles
+included, still validates its own entries.  A cache dies with the last
+quandle of its table, or at the next gc run when a cycle runs through it.
+Methods returning lists return fresh copies.
 
 The canonical form is the least relabeled table, compared in row-major
 order, found by branch and bound over lazily assigned labels.
@@ -50,6 +53,7 @@ into classes through it.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -161,14 +165,26 @@ def is_quandle_table(table: Sequence[Sequence[int]]) -> bool:
     return not axiom_violations(table)
 
 
+class _Cache(dict):
+    """The structures derived from one table; a dict the registry can weakly reference."""
+
+    __slots__ = ("__weakref__",)
+
+
+# Normalized table -> the cache shared by the live quandles with that table.
+# A Quandle looks its cache up only after validating its own raw entries.
+_caches = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class Quandle:
     """Immutable finite quandle over points 0..n-1.
 
     The constructor validates all three axioms and raises ValueError naming
     the first violation; use axiom_violations directly to collect all of
-    them from a raw table.  Equality and hashing use the table only; the
-    cache is a slot, not a field.
+    them from a raw table.  Equality and hashing use the table only.  The
+    cache is a slot, not a field, and is shared by every live quandle with
+    an equal table; the quandles themselves stay distinct objects.
     """
 
     __slots__ = ("table", "_cache")
@@ -181,12 +197,13 @@ class Quandle:
         bad = axiom_violations(rows)
         if bad:
             raise ValueError(f"not a quandle: {bad[0].describe()}")
-        object.__setattr__(self, "table", tuple(tuple(map(int, row)) for row in rows))
-        object.__setattr__(self, "_cache", {})
+        table = tuple(tuple(map(int, row)) for row in rows)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_cache", _caches.setdefault(table, _Cache()))
 
     def __reduce__(self) -> tuple:
         # Copies and unpickling go back through the axiom check in __init__
-        # and start with an empty cache.
+        # and share the cache of their table.
         return Quandle, (self.table,)
 
     @property

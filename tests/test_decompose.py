@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import importlib
 import itertools
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -339,27 +341,47 @@ class TestDecompose:
             dec = decompose(q)
             assert decompose(dec.reassemble()) == dec
 
-    def test_computed_once_per_quandle_object(self, q3, monkeypatch):
+    def test_computed_once_per_table(self, q3, monkeypatch):
         assert decompose(q3) is decompose(q3)
         calls = []
         real = Decomposition.reassemble
         monkeypatch.setattr(
             Decomposition, "reassemble", lambda dec: calls.append(dec) or real(dec)
         )
-        # An equal but distinct quandle is decomposed and checked afresh, once.
+        # An equal but distinct quandle shares q3's decomposition while q3 lives.
         twin = Quandle(q3.table)
-        dec = decompose(twin)
-        assert len(calls) == 1
-        assert decompose(twin) is dec
-        assert len(calls) == 1
-        assert dec == decompose(q3) and dec is not decompose(q3)
+        assert twin is not q3
+        assert decompose(twin) is decompose(q3)
+        assert calls == []
 
     def test_a_failed_postcondition_is_not_cached(self, q3, monkeypatch):
+        # No fixture holds this table, and gc frees what earlier tests dropped
+        # before it is built, so its first decomposition runs here.
+        gc.collect()
+        scattered = q3.relabel(perm((1, 2), degree=3))
+        assert "decomposition" not in scattered._cache
         with monkeypatch.context() as patch:
             patch.setattr(Decomposition, "reassemble", lambda dec: None)
             with pytest.raises(PostconditionError):
-                decompose(q3)
-        assert decompose(q3).reassemble() == q3
+                decompose(scattered)
+        assert "decomposition" not in scattered._cache
+        assert decompose(scattered).reassemble() == scattered
+
+    def test_the_cache_goes_with_the_last_quandle_of_its_table(self):
+        quandle_module = importlib.import_module("quandles.quandle")
+        q = disjoint_union([dihedral_quandle(3), trivial_quandle(2)])
+        twin = Quandle(q.table)
+        # Decomposing ties a cycle: cache -> decomposition -> reassembled -> cache.
+        assert decompose(q).reassemble()._cache is q._cache
+        cache = weakref.ref(q._cache)
+        del q
+        gc.collect()
+        assert cache() is twin._cache
+        table = twin.table
+        del twin
+        gc.collect()
+        assert cache() is None
+        assert table not in quandle_module._caches
 
     def test_reassembled_once_per_decomposition(self, q3, validated):
         dec = decompose(q3)
@@ -449,14 +471,14 @@ class TestCopyAndPickle:
         assert duplicate(dec).reassemble() == q3
 
     @pytest.mark.parametrize("duplicate", COPIES)
-    def test_a_copied_quandle_is_validated_and_starts_uncached(self, duplicate, q3, validated):
+    def test_copy_validates_and_shares_cache(self, duplicate, q3, validated):
         dec = decompose(q3)
         validated.clear()
         twin = duplicate(q3)
         assert twin is not q3
         assert validated == [q3.table]
         assert hash(twin) == hash(q3)
-        assert decompose(twin) == dec and decompose(twin) is not dec
+        assert twin._cache is q3._cache and decompose(twin) is dec
 
 
 class TestFrozenMeshOutcomes:

@@ -277,23 +277,29 @@ class TestCensus:
 
     def test_order_6_builds_one_inner_group_per_class(self, monkeypatch):
         # Point signatures are read off the table, so the leaves build no
-        # inner group; the census's flags build one per class.  The bucket
-        # key leaves 31 isomorphism tests among the 88 leaves.
-        counts = {"groups": 0, "tests": 0}
+        # inner group; the census's flags build at most one per class (none
+        # for a class table whose quandles are still alive from another
+        # test).  The bucket key leaves 31 isomorphism tests among the 88
+        # leaves.
+        built, tests = [], 0
         generate, is_isomorphic = quandle.generate_group, Quandle.is_isomorphic
 
-        def counted_generate(*args):
-            counts["groups"] += 1
-            return generate(*args)
+        def counted_generate(symmetries, degree):
+            built.append(tuple(zip(*(s.images for s in symmetries))))
+            return generate(symmetries, degree)
 
         def counted_is_isomorphic(self, other):
-            counts["tests"] += 1
+            nonlocal tests
+            tests += 1
             return is_isomorphic(self, other)
 
         monkeypatch.setattr(quandle, "generate_group", counted_generate)
         monkeypatch.setattr(Quandle, "is_isomorphic", counted_is_isomorphic)
-        assert len(enumerate_all(6)) == 73
-        assert counts == {"groups": 73, "tests": 31}
+        census = enumerate_all(6)
+        assert len(census) == 73
+        assert set(built) <= {q.table for q in census.tables}
+        assert len(built) == len(set(built))
+        assert tests == 31
 
     def test_connected_flags_are_derived(self, censuses, trivial4, t3):
         assert Census(4, (trivial4,)).connected_flags == (False,)

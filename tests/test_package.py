@@ -140,6 +140,9 @@ SEED3 = realize(Q3)
 # grafted onto another quandle of its order.
 TREE = decomposition_tree(disjoint_union([Q3, trivial_quandle(1)]))
 DEC2 = decompose(trivial_quandle(2))  # layout ((0, 0), (1, 0))
+# Live while its bool and float twins are refused: the cache an int table
+# shares is looked up only after the raw entries pass validation.
+ONE = Quandle(((0,),))
 
 
 @pytest.mark.parametrize("call, error", [
@@ -173,6 +176,8 @@ DEC2 = decompose(trivial_quandle(2))  # layout ((0, 0), (1, 0))
     (lambda: PermGroup(3, (E3, Permutation((1, 2, 0)))), ValueError),
     # True == 1 passed the layout check and was written to JSON as true.
     (lambda: Decomposition(DEC2.mesh, ((0, 0), (True, 0))), TypeError),
+    (lambda: Quandle(((False,),)), ValueError),
+    (lambda: Quandle(((0.0,),)), ValueError),
 ], ids=[
     "trivial_quandle-float", "trivial_quandle-0", "dihedral_quandle-bool",
     "dihedral_quandle-str", "dihedral_quandle-0", "identity-bool", "identity-0",
@@ -181,7 +186,8 @@ DEC2 = decompose(trivial_quandle(2))  # layout ((0, 0), (1, 0))
     "CensusEntry-quandle", "CensusEntry-seed", "CensusEntry-inner-order",
     "CensusEntry-not-generating", "DecompositionTree-quandle", "DecompositionTree-children",
     "ConnectedSeed-group", "ConnectedSeed-z", "ConnectedSeed-reps", "PermGroup-repeated-element",
-    "PermGroup-not-closed", "Decomposition-bool-block",
+    "PermGroup-not-closed", "Decomposition-bool-block", "Quandle-bool-twin",
+    "Quandle-float-twin",
 ])
 def test_a_malformed_value_is_refused(call, error):
     # The library contract: TypeError or ValueError, never AttributeError

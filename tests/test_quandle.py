@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandles import quandle as quandle_module
 from quandles.perm import Permutation, generate_group
 from quandles.quandle import (
     DistributivityViolation,
@@ -133,6 +134,17 @@ class TestValidation:
         assert q.table == ((0, 0), (1, 1)) and type(q.table[0][1]) is int
         for value in (np.float64(1.0), np.bool_(True)):
             assert axiom_violations([[0, value], [1, 1]]) == [RangeViolation(0, 1, value)]
+
+    def test_a_numpy_twin_is_validated_and_shares_the_int_tables_cache(self, monkeypatch):
+        trivial2 = trivial_quandle(2)
+        checked = []
+        real = quandle_module.axiom_violations
+        monkeypatch.setattr(
+            quandle_module, "axiom_violations", lambda rows: checked.append(rows) or real(rows)
+        )
+        twin = Quandle(np.array(trivial2.table, dtype=np.int8))
+        assert [type(rows[1][0]) for rows in checked] == [np.int8]
+        assert twin == trivial2 and twin is not trivial2 and twin._cache is trivial2._cache
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
