@@ -5,6 +5,10 @@ bounds exceeded), 3 for input files that do not parse into the expected
 shape, and 1 for well-formed inputs whose mathematical answer is negative
 (axiom violations, non-isomorphic pairs, census mismatches).  All output is
 deterministic: equal inputs produce equal bytes.
+
+Each verb handler takes the parsed arguments and returns (exit code, stdout
+text).  main refuses a bad --order before any handler runs and writes the
+returned text once, so a run that ends in an error writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -37,36 +41,22 @@ def _read_text(path: str) -> str:
         raise formats.FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _read_table(path: str) -> list[list[int]]:
-    return formats.parse_quandle_text(_read_text(path))
-
-
 def _read_quandle(path: str) -> Quandle:
     """Parse and axiom-check; ValueError (not FormatError) means invalid math."""
-    table = _read_table(path)
-    return Quandle(table)
+    return Quandle(formats.parse_quandle_text(_read_text(path)))
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    table = _read_table(args.file)
+def _cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
+    table = formats.parse_quandle_text(_read_text(args.file))
     violations = axiom_violations(table)
-    if not violations:
-        _emit(f"valid quandle of order {len(table)}\n")
-        return EXIT_OK
-    for v in violations:
-        _emit(f"violation: {v.describe()}\n")
-    return EXIT_NEGATIVE
+    if violations:
+        return EXIT_NEGATIVE, "".join(f"violation: {v.describe()}\n" for v in violations)
+    return EXIT_OK, f"valid quandle of order {len(table)}\n"
 
 
-def _cmd_info(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_info(args: argparse.Namespace) -> tuple[int, str]:
     q = _read_quandle(args.file)
     orbits = " ".join("{" + ",".join(map(str, orbit)) + "}" for orbit in q.orbits())
-    # Every field is computed before anything is written, so a refused
-    # bound leaves stdout empty.
     fields = [
         ("order", q.order),
         ("orbits", orbits),
@@ -74,32 +64,24 @@ def _cmd_info(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         ("inner order", len(q.inner_group())),
         ("automorphism order", len(q.automorphism_group())),
     ]
-    _emit("".join(f"{name}: {value}\n" for name, value in fields))
-    return EXIT_OK
+    return EXIT_OK, "".join(f"{name}: {value}\n" for name, value in fields)
 
 
-def _cmd_iso(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    a = _read_quandle(args.first)
-    b = _read_quandle(args.second)
-    witness = a.find_isomorphism(b)
+def _cmd_iso(args: argparse.Namespace) -> tuple[int, str]:
+    witness = _read_quandle(args.first).find_isomorphism(_read_quandle(args.second))
     if witness is None:
-        _emit("non-isomorphic\n")
-        return EXIT_NEGATIVE
-    _emit(formats.canonical_json(formats.perm_to_obj(witness)))
-    return EXIT_OK
+        return EXIT_NEGATIVE, "non-isomorphic\n"
+    return EXIT_OK, formats.canonical_json(formats.perm_to_obj(witness))
 
 
-def _cmd_decompose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
     q = _read_quandle(args.file)
-    if args.tree:
-        obj = formats.tree_to_obj(decomposition_tree(q))
-    else:
-        obj = formats.decomposition_to_obj(decompose(q))
-    _emit(formats.canonical_json(obj))
-    return EXIT_OK
+    obj = (formats.tree_to_obj(decomposition_tree(q)) if args.tree
+           else formats.decomposition_to_obj(decompose(q)))
+    return EXIT_OK, formats.canonical_json(obj)
 
 
-def _cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_compose(args: argparse.Namespace) -> tuple[int, str]:
     obj = formats.parse_json(_read_text(args.file))
     mesh = formats.mesh_from_obj(obj)
     if obj.get("layout") is None:
@@ -111,73 +93,46 @@ def _cmd_compose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         except ValueError as exc:
             raise formats.FormatError(str(exc)) from None
         q = dec.reassemble()
-    _emit(formats.canonical_json(formats.quandle_to_obj(q)))
-    return EXIT_OK
+    return EXIT_OK, formats.canonical_json(formats.quandle_to_obj(q))
 
 
-def _entries_for_enumerate(args: argparse.Namespace) -> list[dict]:
-    if args.method == "structure":
-        entries = enumerate_connected(args.order)
-        return [formats.census_entry_to_obj(e) for e in entries]
+def _entries(args: argparse.Namespace) -> list[dict]:
+    """enumerate's rows; a brute-force census is freed on return, before the JSON is built."""
+    if args.connected:
+        return [formats.census_entry_to_obj(e) for e in enumerate_connected(args.order)]
     census = enumerate_all(args.order)
-    out = []
-    for q, flag in zip(census.tables, census.connected_flags):
-        if args.connected and not flag:
-            continue
-        out.append({"quandle": formats.quandle_to_obj(q), "connected": flag})
-    return out
+    return [{"quandle": formats.quandle_to_obj(q), "connected": flag}
+            for q, flag in zip(census.tables, census.connected_flags)]
 
 
-def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.method is None:
-        args.method = "structure" if args.connected else "brute"
-    if args.method == "structure" and not args.connected:
-        parser.error("--method structure requires --connected")
-    _check_bound(args.order, parser)
-    entries = _entries_for_enumerate(args)
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
+    entries = _entries(args)
     payload = formats.canonical_json(entries)
-    if args.out:
-        target = Path(args.out) / f"order-{args.order}.json"
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(payload)
-        except OSError as exc:
-            sys.stderr.write(f"error: cannot write {target}: {exc}\n")
-            return EXIT_USAGE
-        _emit(f"wrote {target} ({len(entries)} entries)\n")
-    else:
-        _emit(payload)
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK, payload
+    target = Path(args.out) / f"order-{args.order}.json"
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(payload)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {target}: {exc}\n")
+        return EXIT_USAGE, ""
+    return EXIT_OK, f"wrote {target} ({len(entries)} entries)\n"
 
 
-def _cmd_census(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_bound(args.order, parser)
+def _cmd_census(args: argparse.Namespace) -> tuple[int, str]:
     census = enumerate_all(args.order)
     connected = census.connected()
-    _emit(
-        f"order {args.order}: {len(census)} classes, "
-        f"{len(connected)} connected (brute force)\n"
-    )
-    for q in connected:
-        _emit("connected class: " + formats.canonical_json(formats.quandle_to_obj(q)))
+    text = f"order {args.order}: {len(census)} classes, {len(connected)} connected (brute force)\n"
+    text += "".join("connected class: " + formats.canonical_json(formats.quandle_to_obj(q))
+                    for q in connected)
     if not args.check:
-        return EXIT_OK
+        return EXIT_OK, text
     entries = enumerate_connected(args.order)
-    _emit(f"order {args.order}: {len(entries)} connected classes (coset construction)\n")
-    brute = [q.table for q in connected]
-    structural = [e.quandle.table for e in entries]
-    if brute == structural:
-        _emit("census check: MATCH\n")
-        return EXIT_OK
-    _emit("census check: MISMATCH\n")
-    return EXIT_NEGATIVE
-
-
-def _check_bound(order: int, parser: argparse.ArgumentParser) -> None:
-    try:
-        check_order(order, DEFAULT_MAX_ORDER)
-    except ValueError as exc:
-        parser.error(str(exc))
+    match = [q.table for q in connected] == [e.quandle.table for e in entries]
+    text += f"order {args.order}: {len(entries)} connected classes (coset construction)\n"
+    text += f"census check: {'MATCH' if match else 'MISMATCH'}\n"
+    return (EXIT_OK if match else EXIT_NEGATIVE), text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,9 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate quandles of one order")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--connected", action="store_true",
-                   help="restrict to connected quandles")
-    p.add_argument("--method", choices=["structure", "brute"],
-                   help="structure (default with --connected) or brute force")
+                   help="connected quandles by the coset construction")
     p.add_argument("--out", help="directory for order-N.json instead of stdout")
     p.set_defaults(run=_cmd_enumerate)
 
@@ -231,8 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "order" in args:
+        try:
+            check_order(args.order, DEFAULT_MAX_ORDER)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
-        code = args.run(args, parser)
+        code, text = args.run(args)
+        sys.stdout.write(text)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

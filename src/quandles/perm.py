@@ -75,8 +75,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        check_int(degree, "degree")
-        return cls(tuple(range(degree)))
+        return cls(tuple(range(_check_degree(degree))))
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
@@ -85,7 +84,7 @@ class Permutation:
         The cycles are disjoint: a point written twice, within one cycle or
         across two, raises ValueError.  A 1-cycle such as (1,) fixes its point.
         """
-        check_int(degree, "degree")
+        degree = _check_degree(degree)
         images = list(range(degree))
         written: list[int] = []
         for cycle in cycles:
@@ -195,6 +194,14 @@ def _as_point(point: object, degree: int) -> int:
     return int(point)
 
 
+def _check_degree(degree: object, noun: str = "degree") -> int:
+    """The degree as an int; TypeError unless is_int(degree), ValueError below 1."""
+    degree = check_int(degree, noun)
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    return degree
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Left-to-right composition: apply p, then q."""
     check_type(p, Permutation)
@@ -242,9 +249,7 @@ def generate_group(generators: Iterable[Permutation], degree: int) -> "PermGroup
     Its generators are derived from its elements, like every PermGroup's,
     so they need not be the ones given.
     """
-    degree = check_int(degree, "group degree")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    degree = _check_degree(degree, "group degree")
     gens = tuple(generators)
     _check_members(gens, degree)
     _, elements = _generate([g.images for g in gens], degree)
@@ -277,7 +282,7 @@ class PermGroup:
     generators: tuple[Permutation, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        degree = check_int(self.degree, "group degree")
+        degree = _check_degree(self.degree, "group degree")
         elements = tuple(self.elements)
         _check_members(elements, degree)
         # Image tuples, not Permutations: their hash builds no 1-tuple per element.

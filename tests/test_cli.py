@@ -7,6 +7,7 @@ bytes; one subprocess smoke test covers the module entry point.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -242,12 +243,28 @@ class TestEnumerate:
         assert len(entries) == 3
         assert sum(e["connected"] for e in entries) == 1
 
-    def test_brute_connected_filter(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--order", "4", "--connected",
-                           "--method", "brute")
-        entries = json.loads(out)
+    @pytest.mark.parametrize("order", ["4", "5"])
+    def test_connected_rows_agree_across_routes(self, capsys, order):
+        # The brute-force rows flagged connected are the coset construction's classes.
+        code, out, _ = run(capsys, "enumerate", "--order", order)
         assert code == 0
-        assert len(entries) == 1 and entries[0]["connected"] is True
+        brute = [e["quandle"]["table"] for e in json.loads(out) if e["connected"]]
+        assert brute
+        code, out, _ = run(capsys, "enumerate", "--order", order, "--connected")
+        assert code == 0
+        assert [e["quandle"]["table"] for e in json.loads(out)] == brute
+
+    # The benchmark's golden stdout digests, copied from perfbench/golden.json.
+    @pytest.mark.parametrize("argv, digest", [
+        (["enumerate", "--order", "6"],
+         "ccebdf8cddf6fa6e8457b299910323127d17e5a20e19a24bdc3c24b6e0535c41"),
+        (["enumerate", "--order", "6", "--connected"],
+         "7b2f9c4dd3f2340e695ac9f8e58f628165c9fdc54f58eaf55eb553ca6f62c254"),
+    ], ids=["brute-6", "connected-6"])
+    def test_order_6_stdout_matches_the_benchmark_golden_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_out_directory(self, capsys, tmp_path):
         out_dir = tmp_path / "census"
@@ -268,11 +285,6 @@ class TestEnumerate:
         assert err.startswith("error: ")
         assert not_a_dir.read_text() == ""
 
-    def test_structure_requires_connected(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["enumerate", "--order", "3", "--method", "structure"])
-        assert info.value.code == 2
-
 
 class TestCensus:
     def test_check_match(self, capsys):
@@ -283,6 +295,13 @@ class TestCensus:
         assert lines[1].startswith("connected class: ")
         assert lines[2] == "order 3: 1 connected classes (coset construction)"
         assert lines[3] == "census check: MATCH"
+
+    def test_a_failing_check_writes_no_stdout(self, capsys, monkeypatch):
+        def boom(order):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("quandles.cli.enumerate_connected", boom)
+        assert run(capsys, "census", "--order", "3", "--check") == (1, "", "error: boom\n")
 
     def test_two_runs_identical_bytes(self, capsys):
         _, first, _ = run(capsys, "census", "--order", "4", "--check")
@@ -360,6 +379,8 @@ class TestUsageAndBounds:
         ["enumerate", "--order", "3", "--jobs", "1"],
         ["census", "--order", "3", "--jobs", "1"],
         ["enumerate", "--order", "3", "--connected", "--no-filters"],
+        ["enumerate", "--order", "3", "--connected", "--method", "brute"],
+        ["enumerate", "--order", "3", "--connected", "--method", "structure"],
     ])
     def test_removed_verb_and_flag_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

@@ -72,6 +72,17 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(())
 
+    @pytest.mark.parametrize("degree", [-1, 0])
+    @pytest.mark.parametrize("build", [
+        Permutation.identity,
+        Permutation.from_cycles,
+        lambda degree: PermGroup(degree, ()),
+        lambda degree: generate_group([], degree),
+    ], ids=["identity", "from_cycles", "PermGroup", "generate_group"])
+    def test_a_degree_below_1_gets_generate_groups_message(self, build, degree):
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            build(degree)
+
     def test_from_cycles(self):
         assert perm((0, 1), degree=3).images == (1, 0, 2)
         assert perm((0, 1, 2), degree=4).images == (1, 2, 0, 3)
