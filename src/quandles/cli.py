@@ -7,8 +7,9 @@ shape, and 1 for well-formed inputs whose mathematical answer is negative
 deterministic: equal inputs produce equal bytes.
 
 Each verb handler takes the parsed arguments and returns (exit code, stdout
-text).  main refuses a bad --order before any handler runs and writes the
-returned text once, so a run that ends in an error writes nothing to stdout.
+text); no handler writes a file or stderr.  main refuses a bad --order before
+any handler runs and writes the returned text once, so a run that ends in an
+error writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -106,18 +107,7 @@ def _entries(args: argparse.Namespace) -> list[dict]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
-    entries = _entries(args)
-    payload = formats.canonical_json(entries)
-    if not args.out:
-        return EXIT_OK, payload
-    target = Path(args.out) / f"order-{args.order}.json"
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(payload)
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write {target}: {exc}\n")
-        return EXIT_USAGE, ""
-    return EXIT_OK, f"wrote {target} ({len(entries)} entries)\n"
+    return EXIT_OK, formats.canonical_json(_entries(args))
 
 
 def _cmd_census(args: argparse.Namespace) -> tuple[int, str]:
@@ -169,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--connected", action="store_true",
                    help="connected quandles by the coset construction")
-    p.add_argument("--out", help="directory for order-N.json instead of stdout")
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("census", help="brute-force census, optionally cross-checked")

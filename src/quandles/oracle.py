@@ -62,7 +62,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_MAX_ORDER, check_int, check_order, check_type
+from .config import DEFAULT_MAX_ORDER, check_order, check_type
 from .quandle import Quandle, _cycle_type, isomorphism_classes
 
 __all__ = ["Census", "enumerate_all", "count_connected"]
@@ -72,24 +72,28 @@ __all__ = ["Census", "enumerate_all", "count_connected"]
 class Census:
     """All isomorphism classes of one order, canonical forms sorted.
 
-    A field of the wrong type raises TypeError and a table of another order
-    ValueError.  Any iterable of tables is kept as a tuple, so a Census is
-    hashable.  connected_flags is derived: each table's is_connected().
+    Census(tables) refuses a table that is not a Quandle with TypeError, and
+    no tables or tables of two orders with ValueError: every order has the
+    trivial quandle.  Any iterable of tables is kept as a tuple, so a Census
+    is hashable.  order and connected_flags are derived: the tables' order
+    and each table's is_connected().
     """
 
-    order: int
+    order: int = field(init=False)
     tables: tuple[Quandle, ...]
     connected_flags: tuple[bool, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_int(self.order)
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
         tables = tuple(self.tables)
         for q in tables:
             check_type(q, Quandle)
-            if q.order != self.order:
-                raise ValueError(f"a table of order {q.order} in a census of order {self.order}")
+        if not tables:
+            raise ValueError("a census needs at least one table")
+        order = tables[0].order
+        for q in tables:
+            if q.order != order:
+                raise ValueError(f"a table of order {q.order} in a census of order {order}")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "connected_flags", tuple(q.is_connected() for q in tables))
 
@@ -261,4 +265,4 @@ def enumerate_all(n: int) -> Census:
     """
     check_order(n, DEFAULT_MAX_ORDER)
     leaves = map(Quandle, labeled_tables(n, _cycle_type_columns(n)))
-    return Census(n, tuple(isomorphism_classes(leaves)))
+    return Census(isomorphism_classes(leaves))

@@ -122,47 +122,58 @@ class DistributivityViolation(AxiomViolation):
         )
 
 
-def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
-    """Every axiom failure in the table, in a fixed scan order.
+def _violations(table: Sequence[Sequence[int]]) -> Iterator[AxiomViolation]:
+    """Every axiom failure in the table, lazily, in a fixed scan order.
 
-    Range errors are reported first; structural axioms are only checked on
-    in-range tables so the checks cannot raise.  An empty or ragged table is
-    not a table of any order and raises ValueError.  The structural axioms
-    are read off whole columns, so a valid table costs one pass over them.
+    Range errors come first; structural axioms are only checked on in-range
+    tables so the checks cannot raise: idempotence, then invertibility, then
+    distributivity in (a, b, c) order.  An empty or ragged table is not a
+    table of any order and raises ValueError.  The structural axioms are
+    read off whole columns, so a valid table costs one pass over them, and
+    a caller that stops at the first failure holds O(n^2) memory.
     """
     n = len(table)
     if not n:
         raise ValueError("a quandle needs at least one point")
-    violations: list[AxiomViolation] = []
     for x, row in enumerate(table):
         if len(row) != n:
             raise ValueError(f"row {x} has length {len(row)}, expected {n}")
-        for y, value in enumerate(row):
-            if not is_int(value):
-                violations.append(RangeViolation(x, y, value))
-            elif not 0 <= value < n:
-                violations.append(RangeViolation(x, y, int(value)))
-    if violations:
-        return violations
+    out_of_range = [
+        RangeViolation(x, y, int(value) if is_int(value) else value)
+        for x, row in enumerate(table)
+        for y, value in enumerate(row)
+        if not (is_int(value) and 0 <= value < n)
+    ]
+    if out_of_range:
+        yield from out_of_range
+        return
     # Column y is S_y.  S_y fixes y, S_y is a bijection, and
     # (a > b) > c == (a > c) > (b > c) for every a at once: S_b then S_c
-    # equals S_c then S_{b > c}, and each a where they differ is a failure.
+    # equals S_c then S_{b > c}.  The (b, c) where they differ are found
+    # first, then each a is tried against them.
     columns = tuple(zip(*table))
+    yield from (IdempotenceViolation(y) for y, col in enumerate(columns) if col[y] != y)
+    yield from (InvertibilityViolation(y) for y, col in enumerate(columns) if len(set(col)) != n)
     acts = [itemgetter(*column) for column in columns]
-    violations += [IdempotenceViolation(y) for y, col in enumerate(columns) if col[y] != y]
-    violations += [InvertibilityViolation(y) for y, col in enumerate(columns) if len(set(col)) != n]
-    failures = []
-    for c, column in enumerate(columns):
-        for b, bc in enumerate(column):
-            left, right = acts[b](column), acts[c](columns[bc])
-            if left != right:
-                failures += [(a, b, c) for a in range(n) if left[a] != right[a]]
-    violations += [DistributivityViolation(*abc) for abc in sorted(failures)]
-    return violations
+    failing = [
+        (b, c)
+        for b, act in enumerate(acts)
+        for c, column in enumerate(columns)
+        if act(column) != acts[c](columns[column[b]])
+    ]
+    for a, row in enumerate(table):
+        for b, c in failing:
+            if table[row[b]][c] != table[row[c]][table[b][c]]:
+                yield DistributivityViolation(a, b, c)
+
+
+def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
+    """Every axiom failure in the table, in the order _violations finds them."""
+    return list(_violations(table))
 
 
 def is_quandle_table(table: Sequence[Sequence[int]]) -> bool:
-    return not axiom_violations(table)
+    return next(_violations(table), None) is None
 
 
 class _Cache(dict):
@@ -181,10 +192,11 @@ class Quandle:
     """Immutable finite quandle over points 0..n-1.
 
     The constructor validates all three axioms and raises ValueError naming
-    the first violation; use axiom_violations directly to collect all of
-    them from a raw table.  Equality and hashing use the table only.  The
-    cache is a slot, not a field, and is shared by every live quandle with
-    an equal table; the quandles themselves stay distinct objects.
+    the first violation, where the scan stops; use axiom_violations directly
+    to collect all of them from a raw table.  Equality and hashing use the
+    table only.  The cache is a slot, not a field, and is shared by every
+    live quandle with an equal table; the quandles themselves stay distinct
+    objects.
     """
 
     __slots__ = ("table", "_cache")
@@ -194,9 +206,9 @@ class Quandle:
         rows = tuple(map(tuple, table))
         # The raw entries are checked, so a float, string or bool is a range
         # violation; numpy ints pass and become ints.
-        bad = axiom_violations(rows)
-        if bad:
-            raise ValueError(f"not a quandle: {bad[0].describe()}")
+        bad = next(_violations(rows), None)
+        if bad is not None:
+            raise ValueError(f"not a quandle: {bad.describe()}")
         table = tuple(tuple(map(int, row)) for row in rows)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_cache", _caches.setdefault(table, _Cache()))
@@ -301,7 +313,7 @@ class Quandle:
         """
         check_order(self.order)
         if "aut" not in self._cache:
-            group = PermGroup(self.order, tuple(self._isomorphisms(self)))
+            group = PermGroup(tuple(self._isomorphisms(self)))
             ensure(self.inner_group().is_subgroup_of(group), "inner group is not inside Aut")
             self._cache["aut"] = group
         return self._cache["aut"]

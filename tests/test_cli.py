@@ -266,25 +266,6 @@ class TestEnumerate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_out_directory(self, capsys, tmp_path):
-        out_dir = tmp_path / "census"
-        code, out, _ = run(capsys, "enumerate", "--order", "3",
-                           "--out", str(out_dir))
-        assert code == 0
-        target = out_dir / "order-3.json"
-        assert out == f"wrote {target} (3 entries)\n"
-        _, stdout_payload, _ = run(capsys, "enumerate", "--order", "3")
-        assert target.read_text() == stdout_payload
-
-    def test_out_path_that_is_a_file_is_usage_error(self, capsys, tmp_path):
-        not_a_dir = tmp_path / "afile"
-        not_a_dir.write_text("")
-        code, out, err = run(capsys, "enumerate", "--order", "3", "--out", str(not_a_dir))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert not_a_dir.read_text() == ""
-
 
 class TestCensus:
     def test_check_match(self, capsys):
@@ -381,6 +362,7 @@ class TestUsageAndBounds:
         ["enumerate", "--order", "3", "--connected", "--no-filters"],
         ["enumerate", "--order", "3", "--connected", "--method", "brute"],
         ["enumerate", "--order", "3", "--connected", "--method", "structure"],
+        ["enumerate", "--order", "3", "--out", "census"],
     ])
     def test_removed_verb_and_flag_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -461,6 +443,39 @@ def test_closed_stdout_is_usage_error_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 2
     assert b"Traceback" not in err
+
+
+# Runs one CLI call in a child of its own, so RUSAGE_CHILDREN measures that child alone.
+_PEAK_RSS_SCRIPT = """
+import json, resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "quandles.cli", *sys.argv[1:]],
+                      capture_output=True, text=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))
+"""
+
+
+@pytest.mark.parametrize("verb", ["info", "iso"])
+@pytest.mark.parametrize("n, op, violation", [
+    # Breaks idempotence at every x > 0 and distributivity at most triples;
+    # listing every violation took 562 MB.
+    (140, lambda x, y, n: (x + y) % n, "1 acted on by itself moves away from itself"),
+    # Idempotent and invertible (3 is prime to 130), but not distributive.
+    (131, lambda x, y, n: (y + (x - y) ** 3) % n, "((0 > 1) > 2) != ((0 > 2) > (1 > 2))"),
+], ids=["sum-140", "cube-131"])
+def test_an_invalid_table_is_refused_at_its_first_violation(tmp_path, verb, n, op, violation):
+    path = tmp_path / "table.txt"
+    rows = (" ".join(str(op(x, y, n)) for y in range(n)) for x in range(n))
+    path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
+    files = [str(path)] * (2 if verb == "iso" else 1)
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, verb, *files],
+                          capture_output=True, text=True, check=True)
+    code, out, err, peak = json.loads(proc.stdout)
+    assert (code, out) == (1, "")
+    assert err == f"error: not a quandle: {violation}\n"
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS.
+    peak_mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+    assert peak_mb < 100
 
 
 def _json_paths(obj, prefix=()):

@@ -53,7 +53,7 @@ class TestIsInt:
         uncached = _transitive_class_groups.__wrapped__(np.int64(4))
         assert groups == list(uncached) == transitive_subgroups_up_to_conjugacy(4)
         trivial = generate_group([], np.int64(3))
-        built = PermGroup(np.int64(3), (Permutation.identity(3),))
+        built = PermGroup((Permutation(np.array([0, 1, 2], dtype=np.int64)),))
         assert trivial == built == generate_group([], 3)
         for group in (*uncached, trivial, built):
             assert type(group.degree) is int

@@ -52,12 +52,12 @@ def hom(source, target, *image_tuples):
 
 @pytest.fixture
 def validated(monkeypatch):
-    """The tables quandle.axiom_violations checks from here on, in call order."""
+    """The tables the axiom scan quandle._violations checks from here on, in call order."""
     quandle_module = importlib.import_module("quandles.quandle")
     tables = []
-    real = quandle_module.axiom_violations
+    real = quandle_module._violations
     monkeypatch.setattr(
-        quandle_module, "axiom_violations", lambda table: tables.append(table) or real(table)
+        quandle_module, "_violations", lambda table: tables.append(table) or real(table)
     )
     return tables
 

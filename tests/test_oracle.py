@@ -9,8 +9,11 @@ column search must reproduce that set exactly.
 from __future__ import annotations
 
 import ast
+import copy
+import dataclasses
 import functools
 import itertools
+import pickle
 
 import pytest
 
@@ -302,20 +305,30 @@ class TestCensus:
         assert tests == 31
 
     def test_connected_flags_are_derived(self, censuses, trivial4, t3):
-        assert Census(4, (trivial4,)).connected_flags == (False,)
-        assert Census(3, (t3,)).connected_flags == (True,)
+        assert Census((trivial4,)).connected_flags == (False,)
+        assert Census((t3,)).connected_flags == (True,)
         census = censuses.brute(5)
-        rebuilt = Census(5, census.tables)
+        rebuilt = Census(census.tables)
         assert rebuilt == census and rebuilt.connected_flags == census.connected_flags
         with pytest.raises(TypeError):
-            Census(4, (trivial4,), (False,))
+            Census((trivial4,), (False,))
+
+    def test_the_order_is_derived(self, censuses, trivial4, t3):
+        assert Census((trivial4,)).order == 4 and Census((t3,)).order == 3
+        census = censuses.brute(4)
+        for duplicate in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+            assert duplicate(census).order == 4
+        assert dataclasses.replace(census).order == 4
+        assert dataclasses.replace(census, tables=(t3,)).order == 3
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(census, order=5)
 
     def test_tables_are_kept_as_a_tuple(self, censuses):
         # A generator used to be used up by the type check, leaving no flags,
         # and a list left the census unequal to its tuple twin and unhashable.
         census = censuses.brute(3)
         for tables in ((q for q in census.tables), list(census.tables)):
-            rebuilt = Census(3, tables)
+            rebuilt = Census(tables)
             assert rebuilt.tables == census.tables
             assert rebuilt.connected_flags == census.connected_flags
             assert len(rebuilt) == len(census) == 3

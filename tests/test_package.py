@@ -158,11 +158,12 @@ ONE = Quandle(((0,),))
     (lambda: compose(5, P2), TypeError),
     (lambda: P2 * 5, TypeError),
     (lambda: is_quandle_table([]), ValueError),
-    (lambda: Census(1, ([[0]],)), TypeError),
-    (lambda: Census(2, (Quandle([[0]]),)), ValueError),
+    (lambda: Census(([[0]],)), TypeError),
+    (lambda: Census((ONE, T4)), ValueError),
     # The flags are derived, so a caller cannot hand them in.
-    (lambda: Census(1, (Quandle([[0]]),), (True,)), TypeError),
-    (lambda: Census(1.0, ()), TypeError),
+    (lambda: Census((ONE,), (True,)), TypeError),
+    # The order is derived from the tables, so a census needs one.
+    (lambda: Census(()), ValueError),
     (lambda: CensusEntry(Q3), TypeError),
     (lambda: CensusEntry(5), TypeError),
     (lambda: CensusEntry(SEED3, 6), TypeError),
@@ -172,8 +173,8 @@ ONE = Quandle(((0,),))
     (lambda: ConnectedSeed(5, 5), TypeError),
     (lambda: ConnectedSeed(SEED3.group, 5), TypeError),
     (lambda: ConnectedSeed(SEED3.group, SEED3.stabilizer, SEED3.z, SEED3.reps), TypeError),
-    (lambda: PermGroup(3, (E3, E3)), ValueError),
-    (lambda: PermGroup(3, (E3, Permutation((1, 2, 0)))), ValueError),
+    (lambda: PermGroup((E3, E3)), ValueError),
+    (lambda: PermGroup((E3, Permutation((1, 2, 0)))), ValueError),
     # True == 1 passed the layout check and was written to JSON as true.
     (lambda: Decomposition(DEC2.mesh, ((0, 0), (True, 0))), TypeError),
     (lambda: Quandle(((False,),)), ValueError),

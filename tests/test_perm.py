@@ -48,8 +48,14 @@ def all_perms(n):
 
 
 def from_elements(elements, degree):
-    """The group on these elements, in generate_group's argument order."""
-    return PermGroup(degree, elements)
+    """The group on these elements, in generate_group's argument order.
+
+    PermGroup derives its degree from the elements, so the one given is only
+    compared with it.
+    """
+    group = PermGroup(elements)
+    assert group.degree == degree
+    return group
 
 
 class TestPermutation:
@@ -76,9 +82,8 @@ class TestPermutation:
     @pytest.mark.parametrize("build", [
         Permutation.identity,
         Permutation.from_cycles,
-        lambda degree: PermGroup(degree, ()),
         lambda degree: generate_group([], degree),
-    ], ids=["identity", "from_cycles", "PermGroup", "generate_group"])
+    ], ids=["identity", "from_cycles", "generate_group"])
     def test_a_degree_below_1_gets_generate_groups_message(self, build, degree):
         with pytest.raises(ValueError, match="^degree must be at least 1$"):
             build(degree)
@@ -329,13 +334,13 @@ class TestGenerateGroup:
 
     def test_regeneration_is_stable(self):
         g = generate_group([perm((0, 1), degree=3), perm((1, 2), degree=3)], 3)
-        again = PermGroup(3, g.elements)
+        again = PermGroup(g.elements)
         assert again.elements == g.elements
 
     def test_from_elements_rejects_non_closed(self):
         # The identity and one 3-cycle, without its square.
         with pytest.raises(ValueError, match="not closed under composition"):
-            PermGroup(3, [Permutation.identity(3), perm((0, 1, 2), degree=3)])
+            PermGroup([Permutation.identity(3), perm((0, 1, 2), degree=3)])
 
     def test_membership_and_subgroup(self):
         s3 = generate_group([perm((0, 1), degree=3), perm((1, 2), degree=3)], 3)
@@ -360,14 +365,14 @@ class TestGenerateGroup:
 
     def test_equality_is_by_element_set(self):
         e, t = Permutation.identity(3), perm((0, 1), degree=3)
-        first, second = PermGroup(3, (e, t)), PermGroup(3, (t, e))
+        first, second = PermGroup((e, t)), PermGroup((t, e))
         assert first == second and hash(first) == hash(second)
         assert first.elements == second.elements == (e, t)
         assert first.generators == second.generators == (t,)
 
     def test_generators_are_derived_from_the_elements(self):
         s3 = generate_group([perm((0, 1), degree=3), perm((1, 2), degree=3)], 3)
-        built = PermGroup(3, s3.elements[::-1])
+        built = PermGroup(s3.elements[::-1])
         assert built.generators == s3.generators == (perm((1, 2), degree=3), perm((0, 1), degree=3))
         assert built.center() == [Permutation.identity(3)]
         assert not built.is_abelian()
@@ -384,13 +389,15 @@ class TestGenerateGroup:
         assert repr(g) == "PermGroup(degree=3, order=2)"
 
     @pytest.mark.parametrize(
-        "duplicate", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))]
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g)), dataclasses.replace],
     )
     def test_copy_and_pickle(self, duplicate):
         g = generate_group([perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)], 4)
         twin = duplicate(g)
         assert type(twin) is PermGroup
         assert twin == g and hash(twin) == hash(g)
+        assert twin.degree == g.degree == 4 and type(twin.degree) is int
         assert twin.generators == g.generators
         assert all(p in twin for p in g)
 
@@ -401,15 +408,27 @@ class TestPermGroupRefusals:
     def group(self):
         return generate_group([perm((0, 1), degree=3)], 3)
 
-    @pytest.mark.parametrize("degree", [3.0, "3", True, None])
-    def test_degree_that_is_not_an_int(self, degree):
+    def test_degree_is_derived_not_an_argument(self):
         g = self.group()
-        with pytest.raises(TypeError, match="degree must be an int"):
-            PermGroup(degree, g.elements)
+        assert g.degree == 3
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(g, degree=4)
 
     def test_element_that_is_not_a_permutation(self):
+        class Impostor:
+            @property
+            def degree(self):
+                raise AssertionError("the degree of a non-Permutation was read")
+
+            images = degree
+
         with pytest.raises(TypeError, match="must be Permutations, not tuple"):
-            PermGroup(3, ((0, 1, 2),))
+            PermGroup(((0, 1, 2),))
+        with pytest.raises(TypeError, match="must be Permutations, not tuple"):
+            PermGroup((Permutation.identity(3), (0, 1, 2)))
+        # The type is checked before any degree is read.
+        with pytest.raises(TypeError, match="must be Permutations, not Impostor"):
+            PermGroup((Impostor(), Permutation.identity(3)))
 
     def test_generator_that_is_not_a_permutation(self):
         with pytest.raises(TypeError, match="must be Permutations, not int"):
@@ -417,7 +436,10 @@ class TestPermGroupRefusals:
 
     def test_element_of_another_degree(self):
         with pytest.raises(ValueError, match="permutation degree 2 != group degree 3"):
-            PermGroup(3, (Permutation.identity(3), Permutation.identity(2)))
+            PermGroup((Permutation.identity(3), Permutation.identity(2)))
+        # The first element sets the degree the others are held to.
+        with pytest.raises(ValueError, match="permutation degree 3 != group degree 2"):
+            PermGroup((Permutation.identity(2), Permutation.identity(3)))
 
     def test_generator_of_another_degree(self):
         with pytest.raises(ValueError, match="permutation degree 4 != group degree 3"):
@@ -425,26 +447,30 @@ class TestPermGroupRefusals:
 
     def test_empty_element_list(self):
         with pytest.raises(ValueError, match="at least the identity"):
-            PermGroup(3, ())
+            PermGroup(())
         with pytest.raises(ValueError, match="at least the identity"):
             dataclasses.replace(self.group(), elements=())
 
     def test_element_list_without_the_identity(self):
         with pytest.raises(ValueError, match="at least the identity"):
-            PermGroup(3, (perm((0, 1), degree=3),))
+            PermGroup((perm((0, 1), degree=3),))
 
     def test_generators_are_not_an_argument(self):
         g = self.group()
         with pytest.raises(TypeError):
-            PermGroup(3, g.generators, g.elements)
+            PermGroup(g.generators, g.elements)
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(g, generators=g.generators)
 
-    @pytest.mark.parametrize("build", [generate_group, from_elements])
+    # The builders that take a degree: PermGroup derives its own.
+    @pytest.mark.parametrize("build", [
+        lambda degree: generate_group([Permutation.identity(3)], degree),
+        PermGroup.trivial,
+    ], ids=["generate_group", "trivial"])
     @pytest.mark.parametrize("degree", [3.0, "3", True, None])
     def test_builders_refuse_a_degree_that_is_not_an_int(self, build, degree):
         with pytest.raises(TypeError) as info:
-            build([Permutation.identity(3)], degree)
+            build(degree)
         assert str(info.value) == f"group degree must be an int, not {type(degree).__name__}"
 
     @pytest.mark.parametrize("build", [generate_group, from_elements])
@@ -452,7 +478,7 @@ class TestPermGroupRefusals:
         with pytest.raises(TypeError, match="must be Permutations, not tuple"):
             build([(0, 1)], 2)
         with pytest.raises(ValueError, match="permutation degree 2 != group degree 3"):
-            build([Permutation.identity(2)], 3)
+            build([Permutation.identity(3), Permutation.identity(2)], 3)
 
     def test_from_no_elements(self):
         with pytest.raises(ValueError, match="at least the identity"):
@@ -462,6 +488,7 @@ class TestPermGroupRefusals:
         g = self.group()
         assert dataclasses.replace(g) == g
         assert dataclasses.replace(g, elements=g.elements[::-1]) == g
+        assert dataclasses.replace(g, elements=(Permutation.identity(4),)).degree == 4
         with pytest.raises(ValueError, match="not closed under composition"):
             dataclasses.replace(g, elements=(Permutation.identity(3), perm((0, 1, 2), degree=3)))
 
@@ -499,7 +526,7 @@ class TestImageTupleOrder:
         g = generate_group(perms, degree)
         expected = reference_from_elements(breadth_first_closure(set(perms), degree), degree)
         assert (g.generators, g.elements) == expected
-        h = PermGroup(degree, g.elements[::-1])
+        h = PermGroup(g.elements[::-1])
         assert (h.generators, h.elements) == expected
 
     def test_inner_and_automorphism_groups_of_the_census(self, censuses):
@@ -523,7 +550,7 @@ class TestDerivedGenerators:
 
     def assert_generated_by_its_generators(self, g):
         assert generate_group(g.generators, g.degree) == g
-        assert PermGroup(g.degree, g.elements[::-1]).generators == g.generators
+        assert PermGroup(g.elements[::-1]).generators == g.generators
 
     def test_census_groups(self, censuses):
         for n in range(1, 6):

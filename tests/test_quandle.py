@@ -138,9 +138,9 @@ class TestValidation:
     def test_a_numpy_twin_is_validated_and_shares_the_int_tables_cache(self, monkeypatch):
         trivial2 = trivial_quandle(2)
         checked = []
-        real = quandle_module.axiom_violations
+        real = quandle_module._violations
         monkeypatch.setattr(
-            quandle_module, "axiom_violations", lambda rows: checked.append(rows) or real(rows)
+            quandle_module, "_violations", lambda rows: checked.append(rows) or real(rows)
         )
         twin = Quandle(np.array(trivial2.table, dtype=np.int8))
         assert [type(rows[1][0]) for rows in checked] == [np.int8]
