@@ -7,6 +7,15 @@ builds the group itself: a GammaHom is just the assignment x -> image
 permutation, validated against the relations.  Every hom targets a
 quandle, and every image must additionally be an automorphism of that
 target.
+
+A check's verdict is a function of the source table, the target table and
+the image tuples, all immutable and already validated.  So a success is
+recorded in the cache the source's table shares among live quandles, keyed
+by the target table and the image tuples, and an equal assignment is not
+scanned again while a quandle with that source table lives.  A failure is
+not recorded: every failing check scans afresh and raises the same first
+witness.  Each table's canonical hom is built and proved once and kept in
+the same cache.
 """
 
 from __future__ import annotations
@@ -109,10 +118,19 @@ class GammaHom:
 
 
 def check_gamma_hom(hom: GammaHom) -> None:
-    """Raise the first violation in scan order: relations (x, y), then images."""
+    """Raise the first violation in scan order: relations (x, y), then images.
+
+    A success is recorded with the source's table, so a later check of an
+    equal assignment into an equal target returns at once; a failure is not,
+    so it is scanned and raised afresh every time.
+    """
+    img = tuple(p.images for p in hom.assignment)
+    proved = hom.source._cache.setdefault("proved homs", set())
+    key = (hom.target.table, img)
+    if key in proved:
+        return
     # |x > y| = |y|^-1 |x| |y| on image tuples: img[x > y][img[y][p]] == img[y][img[x][p]],
     # where acts[y](t) reads t at img[y]'s images.
-    img = [p.images for p in hom.assignment]
     acts = [itemgetter(*p) for p in img]
     for x, row in enumerate(hom.source.table):
         for y, xy in enumerate(row):
@@ -126,6 +144,7 @@ def check_gamma_hom(hom: GammaHom) -> None:
             verdicts[p.images] = hom.target.is_automorphism(p)
         if not verdicts[p.images]:
             raise NotAnAutomorphismError(x)
+    proved.add(key)
 
 
 def validate_gamma_hom(
@@ -138,9 +157,15 @@ def validate_gamma_hom(
 
 
 def canonical_hom(q: Quandle) -> GammaHom:
-    """The hom from q's own augmentation group sending each generator to its symmetry."""
+    """The hom from q's own augmentation group sending each generator to its symmetry.
+
+    It is built and proved once per table and kept in the cache that every
+    live quandle with that table shares, so equal quandles get one object.
+    """
     check_type(q, Quandle)
-    return validate_gamma_hom(q, q, tuple(q.symmetries()))
+    if "canonical hom" not in q._cache:
+        q._cache["canonical hom"] = validate_gamma_hom(q, q, q._symmetries())
+    return q._cache["canonical hom"]
 
 
 def trivial_hom(source: Quandle, target: Quandle) -> GammaHom:

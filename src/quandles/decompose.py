@@ -3,7 +3,7 @@
 A mesh is a list of block quandles plus a matrix of generator-assignment
 homs, homs[i][j] taking generators of block i's augmentation group to
 automorphisms of block j.  The diagonal is derived: Mesh fills an omitted
-diagonal entry with the canonical assignment (each generator to its own
+diagonal entry with the block's canonical hom (each generator to its own
 symmetry) and rejects any other.  A valid mesh composes to a quandle on the
 concatenated blocks:
 
@@ -21,10 +21,13 @@ quandle into its inner orbits and reads the homs off the symmetry columns;
 composing the result reproduces the input table bit for bit.
 
 Each result is built and checked once and kept: the decomposition of a
-quandle in the cache its table shares among live quandles, and the
-reassembled quandle in its Decomposition.  So decompose's postcondition
-builds the quandle that DecompositionTree.replay returns, and a block that
-recurs across trees is decomposed once while a quandle with its table lives.
+quandle and each block's canonical hom in the cache its table shares among
+live quandles, and the reassembled quandle in its Decomposition.  So
+decompose's postcondition builds the quandle that DecompositionTree.replay
+returns, and a block that recurs across trees is decomposed once while a
+quandle with its table lives.  Every Mesh still runs all its checks, but an
+off-diagonal hom already proved for its source table passes at once (see
+augment).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .augment import GammaHom, check_gamma_hom, trivial_hom
+from .augment import GammaHom, canonical_hom, check_gamma_hom, trivial_hom
 from .config import check_int, check_type, ensure
 from .perm import Permutation
 from .quandle import Quandle
@@ -95,9 +98,9 @@ class Mesh:
     """Blocks plus hom matrix, checked on construction like Quandle.
 
     homs[i][j] takes generators of blocks[i] to automorphisms of blocks[j].
-    A None diagonal entry is filled with the block's symmetries, the very
-    Permutation objects the block caches, and a given one must equal them;
-    no off-diagonal entry may be None.  The first failure is raised,
+    A None diagonal entry is filled with canonical_hom of the block, the one
+    object its table's cache keeps, and a given one must equal it; no
+    off-diagonal entry may be None.  The first failure is raised,
     witnesses least in scan order: the blocks' types (TypeError), shape,
     each entry's type (TypeError), source and target, the diagonals, each
     off-diagonal hom, then the interchange law, all Condition 1 triples
@@ -116,13 +119,8 @@ class Mesh:
         k = len(blocks)
         if len(self.homs) != k or any(len(row) != k for row in self.homs):
             raise ValueError(f"hom matrix must be {k}x{k}")
-        # columns[i][y] is the symmetry at y of block i, as an image tuple.
-        columns = [tuple(zip(*b.table)) for b in blocks]
         homs = tuple(
-            tuple(
-                GammaHom(b, b, tuple(b.symmetries())) if h is None and i == j else h
-                for j, h in enumerate(row)
-            )
+            tuple(canonical_hom(b) if h is None and i == j else h for j, h in enumerate(row))
             for i, (b, row) in enumerate(zip(blocks, self.homs))
         )
         object.__setattr__(self, "blocks", blocks)
@@ -138,15 +136,15 @@ class Mesh:
             if entry.target != blocks[j]:
                 raise ValueError(f"hom ({i}, {j}) target is not block {j}")
 
-        # act[m][i][z] is how point z of block m acts on block i.
-        act = [[tuple(p.images for p in h.assignment) for h in row] for row in homs]
-        for i in range(k):
-            if act[i][i] != columns[i]:
+        for i, b in enumerate(blocks):
+            if homs[i][i] != canonical_hom(b):
                 raise DiagonalNotCanonicalError(i)
-        # A canonical diagonal is a hom by its block's self-distributivity.
+        # The diagonal is canonical_hom's, proved once per table.
         for i, j in itertools.permutations(range(k), 2):
             check_gamma_hom(homs[i][j])
 
+        # act[m][i][z] is how point z of block m acts on block i.
+        act = [[tuple(p.images for p in h.assignment) for h in row] for row in homs]
         # Both conditions are one interchange law on block i: for x in block
         # i, y in block j and z in block m, acting by y then z equals acting
         # by z, then by y > z.  m == i is Condition 1 and a third block m is

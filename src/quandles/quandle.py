@@ -17,9 +17,11 @@ quandle is connected when there is one orbit.
 A Quandle is immutable and each structure derived from its table is a
 function of the table alone, so there is one cache per table among live
 quandles: the symmetries, the inner group, the orbits, the point
-signatures, the automorphism group, the canonical form, and the orbit
+signatures, the automorphism group, the canonical form, the orbit
 decomposition (stored there by decompose.decompose), which in turn keeps
-the reassembled quandle.  Each is built at most once while a quandle with
+the reassembled quandle, the canonical hom (augment.canonical_hom), and
+the generator assignments out of the table proved to be homs (recorded by
+augment.check_gamma_hom).  Each is built at most once while a quandle with
 that table lives.  Every construction, copies and unpickled quandles
 included, still validates its own entries.  A cache dies with the last
 quandle of its table, or at the next gc run when a cycle runs through it.

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from quandles.augment import (
 )
 from quandles.oracle import enumerate_all
 from quandles.perm import Permutation
-from quandles.quandle import Quandle, trivial_quandle
+from quandles.quandle import Quandle, dihedral_quandle, trivial_quandle
 
 SMALL = [q for n in range(1, 5) for q in enumerate_all(n).tables]
 
@@ -58,6 +61,14 @@ def assignments(draw):
         perms = draw(st.lists(st.sampled_from(perms), min_size=1, max_size=2))
     images = draw(st.lists(st.sampled_from(perms), min_size=source.order, max_size=source.order))
     return GammaHom(source, target, tuple(images))
+
+
+def _spy_automorphism_tests(monkeypatch):
+    """The permutations Quandle.is_automorphism is asked about from here on, in call order."""
+    tested = []
+    original = Quandle.is_automorphism
+    monkeypatch.setattr(Quandle, "is_automorphism", lambda q, p: tested.append(p) or original(q, p))
+    return tested
 
 
 class TestValidation:
@@ -97,11 +108,20 @@ class TestValidation:
         hom = validate_gamma_hom(t2, t2, (perm((0, 1), degree=2), Permutation.identity(2)))
         assert hom.is_valid()
 
-    def test_relation_violation(self, t3):
+    def test_relation_violation(self, t3, monkeypatch):
+        # A failure is not recorded, so each check runs the relation scan,
+        # which reads each image through an itemgetter, and raises afresh.
+        getters = []
+        monkeypatch.setattr(
+            "quandles.augment.itemgetter", lambda *p: getters.append(p) or itemgetter(*p)
+        )
         assignment = (Permutation.identity(3), Permutation.identity(3), perm((0, 1), degree=3))
-        with pytest.raises(RelationViolationError) as info:
-            validate_gamma_hom(t3, t3, assignment)
-        assert (info.value.x, info.value.y) == (0, 1)
+        for _ in range(2):
+            getters.clear()
+            with pytest.raises(RelationViolationError) as info:
+                validate_gamma_hom(t3, t3, assignment)
+            assert (info.value.x, info.value.y) == (0, 1)
+            assert len(getters) == 3
 
     def test_not_an_automorphism(self, q3):
         # (0 2) swaps points of different orbits, so it cannot preserve q3;
@@ -114,17 +134,16 @@ class TestValidation:
     def test_each_distinct_image_tested_once(self, q3, monkeypatch):
         # Images that commute satisfy a trivial source's relations, so only
         # the automorphism scan can fail, at the first x with the bad image.
-        tested = []
-        original = Quandle.is_automorphism
-        monkeypatch.setattr(
-            Quandle, "is_automorphism", lambda q, p: tested.append(p) or original(q, p)
-        )
+        tested = _spy_automorphism_tests(monkeypatch)
         identity, bad = Permutation.identity(3), perm((0, 2), degree=3)
         hom = GammaHom(trivial_quandle(5), q3, (identity, identity, bad, identity, bad))
-        with pytest.raises(NotAnAutomorphismError) as info:
-            check_gamma_hom(hom)
-        assert info.value.x == 2
-        assert tested == [identity, bad]
+        # A failure is not recorded, so a second check scans and raises again.
+        for _ in range(2):
+            tested.clear()
+            with pytest.raises(NotAnAutomorphismError) as info:
+                check_gamma_hom(hom)
+            assert info.value.x == 2
+            assert tested == [identity, bad]
 
     def test_relations_checked_before_images(self, t3, q3):
         # this assignment breaks both; the relation must win the race
@@ -167,6 +186,60 @@ class TestValidation:
         for point in (-1, 3, True, "0"):
             with pytest.raises(ValueError, match=f"point {point!r} is not an int in 0..2"):
                 hom(point)
+
+
+class TestProofRecord:
+    """A proved hom is recorded in the cache its source table shares among live quandles."""
+
+    def test_a_proved_hom_is_proved_once_per_table(self, t3, monkeypatch):
+        # gc frees what earlier tests dropped, and no test keeps a quandle of
+        # order 9 alive, so no record of this source table is left.
+        gc.collect()
+        source = dihedral_quandle(9)
+        tested = _spy_automorphism_tests(monkeypatch)
+        swap = perm((1, 2), degree=3)
+        check_gamma_hom(GammaHom(source, t3, (swap,) * 9))
+        assert tested == [swap]
+        # An equal hom over distinct quandles with equal tables is not scanned.
+        tested.clear()
+        twin, twin_target = Quandle(source.table), Quandle(t3.table)
+        assert twin is not source and twin_target is not t3
+        check_gamma_hom(GammaHom(twin, twin_target, (Permutation(swap.images),) * 9))
+        assert tested == []
+        # The same images into another target table are proved on their own.
+        identity = Permutation.identity(3)
+        for target in (t3, trivial_quandle(3)):
+            check_gamma_hom(GammaHom(source, target, (identity,) * 9))
+        assert tested == [identity, identity]
+
+    def test_the_record_goes_with_the_last_quandle_of_its_table(self, monkeypatch):
+        # No test keeps a quandle of order 9 or 10 alive.
+        gc.collect()
+        source = dihedral_quandle(9)
+        target = dihedral_quandle(10)
+        check_gamma_hom(trivial_hom(source, target))
+        # The record keeps the target's table, not the target's cache.
+        target_cache = weakref.ref(target._cache)
+        del target
+        gc.collect()
+        assert target_cache() is None
+        source_cache = weakref.ref(source._cache)
+        table = source.table
+        del source
+        gc.collect()
+        assert source_cache() is None
+        # A new quandle of the table starts with no record, so it proves again.
+        tested = _spy_automorphism_tests(monkeypatch)
+        check_gamma_hom(trivial_hom(Quandle(table), dihedral_quandle(10)))
+        assert tested == [Permutation.identity(10)]
+
+    def test_canonical_hom_is_one_object_per_table(self, t3, monkeypatch):
+        twin = Quandle(t3.table)
+        hom = canonical_hom(t3)
+        tested = _spy_automorphism_tests(monkeypatch)
+        assert canonical_hom(twin) is hom
+        assert tested == []
+        assert hom.source == twin and hom.assignment == tuple(twin.symmetries())
 
 
 class TestEvaluate:

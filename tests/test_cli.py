@@ -67,6 +67,23 @@ class TestValidate:
         assert lines and all(line.startswith("violation:") for line in lines)
         assert "moves away from itself" in lines[0]
 
+    @pytest.mark.parametrize("bad, tail", [
+        (100, "violation: entry at (9, 0) is 11, not a point of the quandle"),
+        (101, "... and 1 more violations"),
+        (121, "... and 21 more violations"),
+    ], ids=["100-bad", "101-bad", "121-bad"])
+    def test_lists_the_first_100_violations_and_counts_the_rest(self, capsys, tmp_path, bad, tail):
+        # The first `bad` entries of an order-11 table are out of range, so
+        # they are its only violations.
+        path = tmp_path / "bad.txt"
+        path.write_text("11\n" + " ".join(["11"] * bad + ["0"] * (121 - bad)) + "\n")
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == min(bad, 101)
+        assert lines[0] == "violation: entry at (0, 0) is 11, not a point of the quandle"
+        assert lines[-1] == tail
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{oops")
@@ -455,15 +472,8 @@ print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))
 """
 
 
-@pytest.mark.parametrize("verb", ["info", "iso"])
-@pytest.mark.parametrize("n, op, violation", [
-    # Breaks idempotence at every x > 0 and distributivity at most triples;
-    # listing every violation took 562 MB.
-    (140, lambda x, y, n: (x + y) % n, "1 acted on by itself moves away from itself"),
-    # Idempotent and invertible (3 is prime to 130), but not distributive.
-    (131, lambda x, y, n: (y + (x - y) ** 3) % n, "((0 > 1) > 2) != ((0 > 2) > (1 > 2))"),
-], ids=["sum-140", "cube-131"])
-def test_an_invalid_table_is_refused_at_its_first_violation(tmp_path, verb, n, op, violation):
+def _run_measured(tmp_path, verb, n, op):
+    """(exit code, stdout, stderr, peak RSS in MB) of verb on the table x > y = op(x, y, n)."""
     path = tmp_path / "table.txt"
     rows = (" ".join(str(op(x, y, n)) for y in range(n)) for x in range(n))
     path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
@@ -471,10 +481,36 @@ def test_an_invalid_table_is_refused_at_its_first_violation(tmp_path, verb, n, o
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, verb, *files],
                           capture_output=True, text=True, check=True)
     code, out, err, peak = json.loads(proc.stdout)
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS.
+    return code, out, err, peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
+def _sum(x, y, n):
+    # Breaks idempotence at every x > 0 and distributivity at most triples;
+    # listing every violation took 562 MB.
+    return (x + y) % n
+
+
+@pytest.mark.parametrize("verb", ["info", "iso"])
+@pytest.mark.parametrize("n, op, violation", [
+    (140, _sum, "1 acted on by itself moves away from itself"),
+    # Idempotent and invertible (3 is prime to 130), but not distributive.
+    (131, lambda x, y, n: (y + (x - y) ** 3) % n, "((0 > 1) > 2) != ((0 > 2) > (1 > 2))"),
+], ids=["sum-140", "cube-131"])
+def test_an_invalid_table_is_refused_at_its_first_violation(tmp_path, verb, n, op, violation):
+    code, out, err, peak_mb = _run_measured(tmp_path, verb, n, op)
     assert (code, out) == (1, "")
     assert err == f"error: not a quandle: {violation}\n"
-    # ru_maxrss counts kilobytes on Linux and bytes on macOS.
-    peak_mb = peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+    assert peak_mb < 100
+
+
+def test_validate_lists_100_violations_of_an_invalid_table_and_counts_the_rest(tmp_path):
+    # Holding every line of this listing in memory took 803 MB.
+    code, out, err, peak_mb = _run_measured(tmp_path, "validate", 140, _sum)
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (1, "", 101)
+    assert lines[0] == "violation: 1 acted on by itself moves away from itself"
+    assert lines[-1] == "... and 2724439 more violations"
     assert peak_mb < 100
 
 

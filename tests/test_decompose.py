@@ -127,10 +127,12 @@ class TestValidateMesh:
         ]))
 
     def test_diagonal_not_canonical(self, t3, q3):
-        homs = [[trivial_hom(t3, t3)]]
-        with pytest.raises(DiagonalNotCanonicalError) as info:
-            validate_mesh([t3], homs)
-        assert info.value.i == 0
+        # A valid hom is not enough, whether or not the canonical hom is cached.
+        for build in (Mesh, validate_mesh, Mesh):
+            with pytest.raises(DiagonalNotCanonicalError) as info:
+                build([t3], [[trivial_hom(t3, t3)]])
+            assert info.value.i == 0
+            canonical_hom(t3)
         # The identity is an automorphism of q3 but not its symmetry at 2.
         homs = [[canonical_hom(t3), trivial_hom(t3, q3)], [trivial_hom(q3, t3), trivial_hom(q3, q3)]]
         for build in (Mesh, validate_mesh):
@@ -396,6 +398,7 @@ class TestDecompose:
     def test_none_diagonal_holds_the_blocks_own_symmetries(self, t3, q3):
         mesh = Mesh([t3, q3], [[None, trivial_hom(t3, q3)], [trivial_hom(q3, t3), None]])
         for i, block in enumerate(mesh.blocks):
+            assert mesh.homs[i][i] is canonical_hom(Quandle(block.table))
             assert all(
                 p is block.symmetry(y) for y, p in enumerate(mesh.homs[i][i].assignment)
             )
