@@ -25,7 +25,7 @@ from .config import DEFAULT_MAX_ORDER, BoundError, check_order
 from .decompose import Decomposition, decompose, decomposition_tree, semidisjoint_union
 from .enumeration import enumerate_connected
 from .oracle import enumerate_all
-from .quandle import Quandle, _violations
+from .quandle import Quandle, _violation_count, _violations
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -54,12 +54,11 @@ def _read_quandle(path: str) -> Quandle:
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
     table = formats.parse_quandle_text(_read_text(args.file))
-    violations = _violations(table)
-    listed = list(itertools.islice(violations, LISTED_VIOLATIONS))
+    listed = list(itertools.islice(_violations(table), LISTED_VIOLATIONS))
     if not listed:
         return EXIT_OK, f"valid quandle of order {len(table)}\n"
     text = "".join(f"violation: {v.describe()}\n" for v in listed)
-    more = sum(1 for _ in violations)
+    more = _violation_count(table) - len(listed)
     if more:
         text += f"... and {more} more violations\n"
     return EXIT_NEGATIVE, text

@@ -43,8 +43,15 @@ order, found by branch and bound over lazily assigned labels.
   next free label of its pool, the least it can take, so that label is
   forced.  Row s needs every column's point, so it fixes the labelling;
   the later rows only decide between branches.
+- Row s's point is tried once per inner orbit, at its least point: every
+  symmetry is an automorphism (axiom 3), and points that an automorphism
+  swaps give equal tables.  The orbits are read off the table as
+  closures under the rows, so no group is built.
 - Points whose transposition is an automorphism are twins.  Twins give
-  equal tables, so one per twin class is tried.
+  equal tables, so at each later cell one per twin class is tried.  They
+  add nothing at row s: a transposition (a b) that is an automorphism
+  maps a's orbit onto b's and fixes the rest of it, so non-singleton
+  twins share an orbit.
 - A branch stops as soon as its prefix exceeds the best table so far.
 
 Isomorphisms and automorphisms come from one backtracking search over
@@ -57,7 +64,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .config import check_int, check_order, check_type, ensure, is_int
@@ -134,6 +141,27 @@ def _violations(table: Sequence[Sequence[int]]) -> Iterator[AxiomViolation]:
     read off whole columns, so a valid table costs one pass over them, and
     a caller that stops at the first failure holds O(n^2) memory.
     """
+    found, columns = _violations_before_distributivity(table)
+    yield from found
+    if columns is None:
+        return
+    # The (b, c) where distributivity fails are found on whole columns
+    # first, then each a is tried against them.
+    failing = [(b, c) for b, c, _, _ in _failing_pairs(columns)]
+    for a, row in enumerate(table):
+        for b, c in failing:
+            if table[row[b]][c] != table[row[c]][table[b][c]]:
+                yield DistributivityViolation(a, b, c)
+
+
+def _violations_before_distributivity(
+    table: Sequence[Sequence[int]],
+) -> tuple[list[AxiomViolation], tuple[tuple[int, ...], ...] | None]:
+    """(range errors, None) for a table with any, else (failures, columns).
+
+    Column y is S_y.  The failures are those of idempotence (S_y fixes y)
+    and then of invertibility (S_y is a bijection).
+    """
     n = len(table)
     if not n:
         raise ValueError("a quandle needs at least one point")
@@ -147,26 +175,31 @@ def _violations(table: Sequence[Sequence[int]]) -> Iterator[AxiomViolation]:
         if not (is_int(value) and 0 <= value < n)
     ]
     if out_of_range:
-        yield from out_of_range
-        return
-    # Column y is S_y.  S_y fixes y, S_y is a bijection, and
-    # (a > b) > c == (a > c) > (b > c) for every a at once: S_b then S_c
-    # equals S_c then S_{b > c}.  The (b, c) where they differ are found
-    # first, then each a is tried against them.
+        return out_of_range, None
     columns = tuple(zip(*table))
-    yield from (IdempotenceViolation(y) for y, col in enumerate(columns) if col[y] != y)
-    yield from (InvertibilityViolation(y) for y, col in enumerate(columns) if len(set(col)) != n)
-    acts = [itemgetter(*column) for column in columns]
-    failing = [
-        (b, c)
-        for b, act in enumerate(acts)
-        for c, column in enumerate(columns)
-        if act(column) != acts[c](columns[column[b]])
+    found: list[AxiomViolation] = [
+        IdempotenceViolation(y) for y, col in enumerate(columns) if col[y] != y
     ]
-    for a, row in enumerate(table):
-        for b, c in failing:
-            if table[row[b]][c] != table[row[c]][table[b][c]]:
-                yield DistributivityViolation(a, b, c)
+    found += [InvertibilityViolation(y) for y, col in enumerate(columns) if len(set(col)) != n]
+    return found, columns
+
+
+def _failing_pairs(
+    columns: tuple[tuple[int, ...], ...],
+) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """Each (b, c, lhs, rhs) of an in-range table whose two columns differ.
+
+    (a > b) > c == (a > c) > (b > c) for every a at once says that S_b then
+    S_c equals S_c then S_{b > c}.  lhs[a] is (a > b) > c and rhs[a] is
+    (a > c) > (b > c), so the a where they differ are the distributivity
+    failures at (b, c).
+    """
+    acts = [itemgetter(*column) for column in columns]
+    for b, act in enumerate(acts):
+        for c, column in enumerate(columns):
+            lhs, rhs = act(column), acts[c](columns[column[b]])
+            if lhs != rhs:
+                yield b, c, lhs, rhs
 
 
 def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
@@ -174,8 +207,26 @@ def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
     return list(_violations(table))
 
 
+def _violation_count(table: Sequence[Sequence[int]]) -> int:
+    """len(axiom_violations(table)), counted without building the violations.
+
+    Each failing (b, c) adds the mismatches of its two columns, so the n^3
+    distributivity cells are compared in C.
+    """
+    found, columns = _violations_before_distributivity(table)
+    if columns is None:
+        return len(found)
+    return len(found) + sum(sum(map(ne, lhs, rhs)) for _, _, lhs, rhs in _failing_pairs(columns))
+
+
 def is_quandle_table(table: Sequence[Sequence[int]]) -> bool:
     return next(_violations(table), None) is None
+
+
+def _fixes(table: Sequence[Sequence[int]], s: Sequence[int]) -> bool:
+    """Whether relabeling by the images s maps the table onto itself."""
+    n = len(table)
+    return all(s[table[x][y]] == table[s[x]][s[y]] for x in range(n) for y in range(n))
 
 
 class _Cache(dict):
@@ -304,8 +355,7 @@ class Quandle:
         check_type(sigma, Permutation)
         if sigma.degree != self.order:
             return False
-        t, s, n = self.table, sigma.images, self.order
-        return all(s[t[x][y]] == t[s[x]][s[y]] for x in range(n) for y in range(n))
+        return _fixes(self.table, sigma.images)
 
     def automorphism_group(self) -> PermGroup:
         """All relabelings fixing the table: the isomorphism search onto itself.
@@ -359,7 +409,9 @@ class Quandle:
         twin = list(range(n))
         for a, b in itertools.combinations(range(n), 2):
             if twin[a] == a and twin[b] == b and sig[a] == sig[b]:
-                if self.is_automorphism(Permutation.from_cycles(n, (a, b))):
+                images = list(range(n))
+                images[a], images[b] = b, a
+                if _fixes(self.table, images):
                     twin[b] = a
         return twin
 
@@ -408,7 +460,12 @@ class Quandle:
                     used[image] = False
                 s.pop()
 
-        yield from extend(0)
+        try:
+            yield from extend(0)
+        finally:
+            # extend's closure refers to itself; break the cycle once the
+            # search is exhausted or dropped.
+            del extend
 
 
 def isomorphism_classes(quandles: Iterable[Quandle]) -> list[Quandle]:
@@ -435,12 +492,13 @@ def _canonical_table(
 ) -> tuple[tuple[int, ...], ...]:
     """Least relabeled table in row-major order, by the search in the module docstring.
 
-    twin[x] names the twin class of x.  label maps points to labels and
-    point maps labels back; -1 is unlabelled.  Labels are handed out in
-    order within each pool, so the next free label of the non-singleton
-    pool is nxt, and a column j >= s without a point has j == nxt.  The
-    search fills cells, row s so far, and keeps rows s..n-1 of the least
-    table found in best.
+    The search starts once per inner orbit (_root_starts), and twin[x]
+    names the twin class of x for the later cells.  label maps points to
+    labels and point maps labels back; -1 is unlabelled.  Labels are
+    handed out in order within each pool, so the next free label of the
+    non-singleton pool is nxt, and a column j >= s without a point has
+    j == nxt.  The search fills cells, row s so far, and keeps rows
+    s..n-1 of the least table found in best.
     """
     n = len(table)
     singles = [x for x in range(n) if table[x].count(x) == n]
@@ -513,12 +571,35 @@ def _canonical_table(
                 label[p] = -1
             nxt = start
 
-    for x in one_per_twin_class(others):
+    for x in _root_starts(table):
         label[x], point[s] = s, x
         nxt = s + 1
         extend(0, best is not None)
         label[x] = point[s] = -1
+    # extend's closure refers to itself; without it the search's state
+    # would live on until the cyclic garbage collector runs.
+    del extend
     return tuple((i,) * n for i in range(s)) + tuple(best or ())
+
+
+def _root_starts(table: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The least point of each inner orbit of more than one point, in order.
+
+    An orbit is the closure of a point under the rows, x going to each
+    x > y: that is closure under every symmetry, and each symmetry has
+    finite order.
+    """
+    n = len(table)
+    seen: set[int] = set()
+    starts = []
+    for x in range(n):
+        if x not in seen and table[x].count(x) < n:
+            starts.append(x)
+            orbit, grown = set(), {x}
+            while grown != orbit:
+                orbit, grown = grown, grown.union(*[table[p] for p in grown])
+            seen |= orbit
+    return starts
 
 
 def trivial_quandle(n: int) -> Quandle:

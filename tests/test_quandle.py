@@ -10,9 +10,11 @@ relabeled tables) are local to this file.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles import quandle as quandle_module
+from quandles.decompose import disjoint_union
 from quandles.perm import Permutation, generate_group
 from quandles.quandle import (
     DistributivityViolation,
@@ -113,6 +116,26 @@ class TestValidation:
                     assert axiom_violations(rows) == expected
                     failing += bool(expected)
         assert failing > 300
+
+    def test_the_count_is_the_length_of_the_list(self, censuses):
+        # The invalid tables of this class and seeded one-cell perturbations
+        # of the census tables: every kind of failure, alone and mixed.
+        tables = [
+            [[1, 0], [0, 1]], [[0, 1], [1, 1]], [[0, 2, 1], [1, 1, 0], [2, 0, 2]],
+            [[0, 7], [1, 1]], [[0, True], [0, 1]], [[0, 0, 0], [0, 2, 1], [2, 1, 2]],
+            [[0, 0.7], [1, 1]], *([[(x + 1) % n] * n for x in range(n)] for n in range(2, 6)),
+            [[(x + y) % 12 for y in range(12)] for x in range(12)],
+        ]
+        rng = random.Random(2718)
+        for n in range(1, 7):
+            for q in censuses.brute(n).tables:
+                for _ in range(4):
+                    rows = [list(row) for row in q.table]
+                    rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n + 1)
+                    tables.append(rows)
+        counts = [quandle_module._violation_count(t) for t in tables]
+        assert counts == [len(axiom_violations(t)) for t in tables]
+        assert sum(map(bool, counts)) > 300
 
     def test_ragged_table_rejected(self):
         with pytest.raises(ValueError):
@@ -377,6 +400,29 @@ def _seeded_relabeling(q, rng):
     return q.relabel(Permutation(tuple(rng.sample(range(q.order), q.order))))
 
 
+def alexander_gf8():
+    """x > y = t x + (1 + t) y over GF(8) = GF(2)[t] / (t^3 + t + 1): connected, order 8."""
+
+    def times_t(x):
+        x <<= 1
+        return x ^ 0b1011 if x & 0b1000 else x
+
+    return Quandle(tuple(tuple(times_t(x) ^ times_t(y) ^ y for y in range(8)) for x in range(8)))
+
+
+def _orbits_joined_with_twins(q):
+    """The least point of each class of the join, among the points with a non-constant row."""
+    classes = [set(orbit) for orbit in q.orbits()]
+    for x, twin in enumerate(q._twin_classes()):
+        (a,) = (c for c in classes if x in c)
+        (b,) = (c for c in classes if twin in c)
+        if a is not b:
+            classes.remove(b)
+            a |= b
+    n = q.order
+    return sorted(min(c) for c in classes if q.table[min(c)].count(min(c)) < n)
+
+
 class TestCanonicalForm:
     def test_matches_exhaustive_reference(self, censuses):
         rng = random.Random(11)
@@ -395,8 +441,14 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize(
         "q",
-        [trivial_quandle(8), dihedral_quandle(8), Quandle(glued_table())],
-        ids=["trivial", "dihedral", "glued"],
+        [
+            trivial_quandle(8),
+            dihedral_quandle(8),
+            Quandle(glued_table()),
+            alexander_gf8(),
+            disjoint_union([dihedral_quandle(3), dihedral_quandle(5)]),
+        ],
+        ids=["trivial", "dihedral", "glued", "connected", "two-orbits"],
     )
     def test_twins_and_constant_rows_at_order_8(self, q):
         # Many twins (points whose transposition is an automorphism) and
@@ -406,6 +458,67 @@ class TestCanonicalForm:
 
     def test_glued_table_twins(self):
         assert Quandle(glued_table())._twin_classes() == [0, 1, 0, 1, 4, 4, 6, 6]
+
+    def test_a_connected_quandle_without_twins_starts_one_root_search(self, monkeypatch):
+        d5 = dihedral_quandle(5)
+        canon = d5.canonical_form()
+        q = _seeded_relabeling(d5, random.Random(15))
+        assert q.is_connected() and q._twin_classes() == list(range(5))
+        starts = []
+        real = quandle_module._root_starts
+        monkeypatch.setattr(
+            quandle_module, "_root_starts", lambda table: starts.append(real(table)) or starts[-1]
+        )
+        q._cache.pop("canon", None)
+        assert q.canonical_form() == canon
+        assert starts == [[0]]
+
+    def test_root_starts_are_the_inner_orbits_joined_with_twins(self, censuses):
+        glued = Quandle(glued_table())
+        starts = quandle_module._root_starts(glued.table)
+        assert starts == _orbits_joined_with_twins(glued) == [0, 1]
+        rng = random.Random(17)
+        pairs = 0
+        for n in range(1, 7):
+            for canon in censuses.brute(n).tables:
+                q = _seeded_relabeling(canon, rng)
+                assert quandle_module._root_starts(q.table) == _orbits_joined_with_twins(q)
+                pairs += sum(
+                    t != x and q.table[x].count(x) < n for x, t in enumerate(q._twin_classes())
+                )
+        # Twins with non-constant rows occur, and share an inner orbit each.
+        assert pairs > 100
+
+    def test_no_search_closure_outlives_its_search(self):
+        # The searches' recursive closures refer to themselves; each search
+        # breaks that cycle when it ends, so reference counting frees them.
+        def extends():
+            return [
+                f for f in gc.get_objects()
+                if isinstance(f, types.FunctionType) and f.__name__ == "extend"
+                and f.__module__ == quandle_module.__name__
+            ]
+
+        gc.collect()
+        gc.disable()
+        try:
+            q = _seeded_relabeling(dihedral_quandle(6), random.Random(18))
+            for key in ("canon", "aut"):
+                q._cache.pop(key, None)
+            assert extends() == []
+            q.canonical_form()
+            assert extends() == []
+            assert q.find_isomorphism(dihedral_quandle(6)) is not None
+            assert extends() == []
+            assert len(q.automorphism_group()) > 1
+            assert extends() == []
+            live = q._isomorphisms(q)
+            next(live)
+            assert len(extends()) == 1
+            del live
+            assert extends() == []
+        finally:
+            gc.enable()
 
     def test_no_order_bound(self):
         # The S_n index stops at order 8; the canonical-form search does not use it.
