@@ -15,7 +15,6 @@ error writes nothing to stdout.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from .config import DEFAULT_MAX_ORDER, BoundError, check_order
 from .decompose import Decomposition, decompose, decomposition_tree, semidisjoint_union
 from .enumeration import enumerate_connected
 from .oracle import enumerate_all
-from .quandle import Quandle, _violation_count, _violations
+from .quandle import Quandle, _violation_listing
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -54,11 +53,11 @@ def _read_quandle(path: str) -> Quandle:
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
     table = formats.parse_quandle_text(_read_text(args.file))
-    listed = list(itertools.islice(_violations(table), LISTED_VIOLATIONS))
+    listed, count = _violation_listing(table, LISTED_VIOLATIONS)
     if not listed:
         return EXIT_OK, f"valid quandle of order {len(table)}\n"
     text = "".join(f"violation: {v.describe()}\n" for v in listed)
-    more = _violation_count(table) - len(listed)
+    more = count - len(listed)
     if more:
         text += f"... and {more} more violations\n"
     return EXIT_NEGATIVE, text

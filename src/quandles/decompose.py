@@ -17,8 +17,9 @@ triples are scanned first.  Together they are exactly what the composed
 table needs to satisfy the quandle axioms.  A Mesh checks them once, when
 it is built, and semidisjoint_union's Quandle check of the composed table
 asserts that equivalence.  In the other direction, decompose splits any
-quandle into its inner orbits and reads the homs off the symmetry columns;
-composing the result reproduces the input table bit for bit.
+quandle into its inner orbits, read off the table without building a group,
+and reads the homs off the symmetry columns; composing the result
+reproduces the input table bit for bit.
 
 Each result is built and checked once and kept: the decomposition of a
 quandle and each block's canonical hom in the cache its table shares among
@@ -305,12 +306,13 @@ def _decompose(q: Quandle) -> Decomposition:
 class DecompositionTree:
     """Iterated decomposition of a quandle down to connected leaves.
 
-    Only the quandle is passed; the rest is derived here.  A leaf (connected
-    quandle) has decomposition None and no children; otherwise the
-    decomposition is decompose(quandle) and children[b] refines its block b,
-    taken as a standalone quandle under its own inner group.  A quandle of
-    the wrong type raises TypeError.  Terminates because a disconnected
-    quandle has at least two orbits, so block orders strictly decrease.
+    Only the quandle is passed; the rest is derived here.  A leaf, a quandle
+    with one orbit (connected, and tested without building a group), has
+    decomposition None and no children; otherwise the decomposition is
+    decompose(quandle) and children[b] refines its block b, taken as a
+    standalone quandle.  A quandle of the wrong type raises TypeError.
+    Terminates because a disconnected quandle has at least two orbits, so
+    block orders strictly decrease.
     """
 
     quandle: Quandle
@@ -319,7 +321,7 @@ class DecompositionTree:
 
     def __post_init__(self) -> None:
         check_type(self.quandle, Quandle)
-        dec = None if self.quandle.is_connected() else decompose(self.quandle)
+        dec = None if len(self.quandle.orbits()) == 1 else decompose(self.quandle)
         children = () if dec is None else tuple(DecompositionTree(b) for b in dec.blocks)
         object.__setattr__(self, "decomposition", dec)
         object.__setattr__(self, "children", children)
@@ -351,11 +353,11 @@ class DecompositionTree:
 
 
 def decomposition_tree(q: Quandle) -> DecompositionTree:
-    """Decompose recursively until every leaf is connected.
+    """Decompose recursively until every leaf is connected, with one orbit.
 
     Each level goes through decompose, so a quandle or block decomposed
-    before is not decomposed or checked again.
+    before is not decomposed or checked again.  No level builds a group.
     """
     tree = DecompositionTree(q)
-    ensure(all(leaf.is_connected() for leaf in tree.leaves()), "a tree leaf is not connected")
+    ensure(all(len(leaf.orbits()) == 1 for leaf in tree.leaves()), "a tree leaf is not connected")
     return tree

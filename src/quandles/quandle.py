@@ -12,7 +12,9 @@ The map x -> x > y (column y read down the rows) is the symmetry at y; axiom
 2 says each symmetry is a permutation and axiom 3 says symmetries conjugate
 each other the way their base points act.  The group generated by all
 symmetries is the inner group; its orbits partition the quandle, and the
-quandle is connected when there is one orbit.
+quandle is connected when the inner group is transitive.  An orbit is the
+closure of a point under the rows, so orbits() reads them off the table in
+O(n^2) without building the group; is_connected builds it.
 
 A Quandle is immutable and each structure derived from its table is a
 function of the table alone, so there is one cache per table among live
@@ -45,8 +47,8 @@ order, found by branch and bound over lazily assigned labels.
   the later rows only decide between branches.
 - Row s's point is tried once per inner orbit, at its least point: every
   symmetry is an automorphism (axiom 3), and points that an automorphism
-  swaps give equal tables.  The orbits are read off the table as
-  closures under the rows, so no group is built.
+  swaps give equal tables.  The starts come from orbits(), so no group
+  is built.
 - Points whose transposition is an automorphism are twins.  Twins give
   equal tables, so at each later cell one per twin class is tried.  They
   add nothing at row s: a transposition (a b) that is an automorphism
@@ -143,21 +145,27 @@ def _violations(table: Sequence[Sequence[int]]) -> Iterator[AxiomViolation]:
     """
     found, columns = _violations_before_distributivity(table)
     yield from found
-    if columns is None:
-        return
-    # The (b, c) where distributivity fails are found on whole columns
-    # first, then each a is tried against them.
-    failing = [(b, c) for b, c, _, _ in _failing_pairs(columns)]
-    for a, row in enumerate(table):
-        for b, c in failing:
-            if table[row[b]][c] != table[row[c]][table[b][c]]:
-                yield DistributivityViolation(a, b, c)
+    yield from _distributivity_violations(table, _failing_pairs(columns))
+
+
+def _violation_listing(
+    table: Sequence[Sequence[int]], limit: int
+) -> tuple[list[AxiomViolation], int]:
+    """The first limit violations of _violations(table), and how many there are in all.
+
+    Both come from one pass over the column pairs; the rest are counted,
+    not built.
+    """
+    found, columns = _violations_before_distributivity(table)
+    failing = _failing_pairs(columns)
+    every = itertools.chain(found, _distributivity_violations(table, failing))
+    return list(itertools.islice(every, limit)), len(found) + sum(k for _, _, k in failing)
 
 
 def _violations_before_distributivity(
     table: Sequence[Sequence[int]],
-) -> tuple[list[AxiomViolation], tuple[tuple[int, ...], ...] | None]:
-    """(range errors, None) for a table with any, else (failures, columns).
+) -> tuple[list[AxiomViolation], tuple[tuple[int, ...], ...]]:
+    """(range errors, ()) for a table with any, else (failures, columns).
 
     Column y is S_y.  The failures are those of idempotence (S_y fixes y)
     and then of invertibility (S_y is a bijection).
@@ -175,7 +183,7 @@ def _violations_before_distributivity(
         if not (is_int(value) and 0 <= value < n)
     ]
     if out_of_range:
-        return out_of_range, None
+        return out_of_range, ()
     columns = tuple(zip(*table))
     found: list[AxiomViolation] = [
         IdempotenceViolation(y) for y, col in enumerate(columns) if col[y] != y
@@ -184,39 +192,37 @@ def _violations_before_distributivity(
     return found, columns
 
 
-def _failing_pairs(
-    columns: tuple[tuple[int, ...], ...],
-) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-    """Each (b, c, lhs, rhs) of an in-range table whose two columns differ.
+def _failing_pairs(columns: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
+    """Each (b, c, mismatches) of an in-range table whose two columns differ.
 
     (a > b) > c == (a > c) > (b > c) for every a at once says that S_b then
-    S_c equals S_c then S_{b > c}.  lhs[a] is (a > b) > c and rhs[a] is
-    (a > c) > (b > c), so the a where they differ are the distributivity
-    failures at (b, c).
+    S_c equals S_c then S_{b > c}.  The a where the two columns differ are
+    the distributivity failures at (b, c), and mismatches counts them; the
+    n^3 cells are compared in C.
     """
     acts = [itemgetter(*column) for column in columns]
+    failing = []
     for b, act in enumerate(acts):
         for c, column in enumerate(columns):
             lhs, rhs = act(column), acts[c](columns[column[b]])
             if lhs != rhs:
-                yield b, c, lhs, rhs
+                failing.append((b, c, sum(map(ne, lhs, rhs))))
+    return failing
+
+
+def _distributivity_violations(
+    table: Sequence[Sequence[int]], failing: list[tuple[int, int, int]]
+) -> Iterator[DistributivityViolation]:
+    """The distributivity failures in (a, b, c) order: each a against the failing (b, c)."""
+    for a, row in enumerate(table):
+        for b, c, _ in failing:
+            if table[row[b]][c] != table[row[c]][table[b][c]]:
+                yield DistributivityViolation(a, b, c)
 
 
 def axiom_violations(table: Sequence[Sequence[int]]) -> list[AxiomViolation]:
     """Every axiom failure in the table, in the order _violations finds them."""
     return list(_violations(table))
-
-
-def _violation_count(table: Sequence[Sequence[int]]) -> int:
-    """len(axiom_violations(table)), counted without building the violations.
-
-    Each failing (b, c) adds the mismatches of its two columns, so the n^3
-    distributivity cells are compared in C.
-    """
-    found, columns = _violations_before_distributivity(table)
-    if columns is None:
-        return len(found)
-    return len(found) + sum(sum(map(ne, lhs, rhs)) for _, _, lhs, rhs in _failing_pairs(columns))
 
 
 def is_quandle_table(table: Sequence[Sequence[int]]) -> bool:
@@ -306,22 +312,31 @@ class Quandle:
         return self._cache["inner"]
 
     def orbits(self) -> list[tuple[int, ...]]:
-        """Orbits of the inner group, each sorted, ordered by least point."""
+        """Orbits of the inner group, each sorted, ordered by least point.
+
+        Each is the closure of a point under the rows, x going to each
+        x > y: closure under every symmetry, as each has finite order.
+        Each row is read once; no group is built.
+        """
         if "orbits" not in self._cache:
-            inner = self.inner_group()
             seen: set[int] = set()
             out = []
             for x in range(self.order):
                 if x in seen:
                     continue
-                orbit = inner.orbit(x)
-                seen.update(orbit)
-                out.append(orbit)
+                orbit, frontier = {x}, [x]
+                while frontier:
+                    grown = set(self.table[frontier.pop()]) - orbit
+                    orbit |= grown
+                    frontier += grown
+                seen |= orbit
+                out.append(tuple(sorted(orbit)))
             self._cache["orbits"] = out
         return list(self._cache["orbits"])
 
     def is_connected(self) -> bool:
-        return len(self.orbits()) == 1
+        """Whether the inner group is transitive, as the paper defines it; this builds the group."""
+        return self.inner_group().is_transitive()
 
     def is_trivial(self) -> bool:
         """Every symmetry is the identity."""
@@ -373,7 +388,9 @@ class Quandle:
     def canonical_form(self) -> "Quandle":
         """Least table among all relabelings; equal iff isomorphic."""
         if "canon" not in self._cache:
-            self._cache["canon"] = Quandle(_canonical_table(self.table, self._twin_classes()))
+            starts = [orbit[0] for orbit in self.orbits() if len(orbit) > 1]
+            canon = _canonical_table(self.table, self._twin_classes(), starts)
+            self._cache["canon"] = Quandle(canon)
         return self._cache["canon"]
 
     def is_isomorphic(self, other: "Quandle") -> bool:
@@ -488,17 +505,18 @@ def isomorphism_classes(quandles: Iterable[Quandle]) -> list[Quandle]:
 
 
 def _canonical_table(
-    table: tuple[tuple[int, ...], ...], twin: Sequence[int]
+    table: tuple[tuple[int, ...], ...], twin: Sequence[int], starts: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
     """Least relabeled table in row-major order, by the search in the module docstring.
 
-    The search starts once per inner orbit (_root_starts), and twin[x]
-    names the twin class of x for the later cells.  label maps points to
-    labels and point maps labels back; -1 is unlabelled.  Labels are
-    handed out in order within each pool, so the next free label of the
-    non-singleton pool is nxt, and a column j >= s without a point has
-    j == nxt.  The search fills cells, row s so far, and keeps rows
-    s..n-1 of the least table found in best.
+    The search starts once at each point of starts, the least point of
+    each inner orbit of more than one point, and twin[x] names the twin
+    class of x for the later cells.  label maps points to labels and
+    point maps labels back; -1 is unlabelled.  Labels are handed out in
+    order within each pool, so the next free label of the non-singleton
+    pool is nxt, and a column j >= s without a point has j == nxt.  The
+    search fills cells, row s so far, and keeps rows s..n-1 of the least
+    table found in best.
     """
     n = len(table)
     singles = [x for x in range(n) if table[x].count(x) == n]
@@ -571,7 +589,7 @@ def _canonical_table(
                 label[p] = -1
             nxt = start
 
-    for x in _root_starts(table):
+    for x in starts:
         label[x], point[s] = s, x
         nxt = s + 1
         extend(0, best is not None)
@@ -580,26 +598,6 @@ def _canonical_table(
     # would live on until the cyclic garbage collector runs.
     del extend
     return tuple((i,) * n for i in range(s)) + tuple(best or ())
-
-
-def _root_starts(table: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The least point of each inner orbit of more than one point, in order.
-
-    An orbit is the closure of a point under the rows, x going to each
-    x > y: that is closure under every symmetry, and each symmetry has
-    finite order.
-    """
-    n = len(table)
-    seen: set[int] = set()
-    starts = []
-    for x in range(n):
-        if x not in seen and table[x].count(x) < n:
-            starts.append(x)
-            orbit, grown = set(), {x}
-            while grown != orbit:
-                orbit, grown = grown, grown.union(*[table[p] for p in grown])
-            seen |= orbit
-    return starts
 
 
 def trivial_quandle(n: int) -> Quandle:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quandles import quandle as quandle_module
 from quandles.cli import main
 from quandles.decompose import decomposition_tree
 from quandles.formats import canonical_json, quandle_to_obj, tree_to_obj
@@ -83,6 +85,22 @@ class TestValidate:
         assert len(lines) == min(bad, 101)
         assert lines[0] == "violation: entry at (0, 0) is 11, not a point of the quandle"
         assert lines[-1] == tail
+
+    def test_one_pass_over_the_column_pairs_lists_and_counts(self, capsys, tmp_path, monkeypatch):
+        # x > y = y + (x - y)^3 mod 11 fails distributivity alone, more than
+        # 100 times; the listing and the count of the rest share one pass.
+        passes = []
+        real = quandle_module._failing_pairs
+        monkeypatch.setattr(
+            quandle_module, "_failing_pairs", lambda columns: passes.append(columns) or real(columns)
+        )
+        path = tmp_path / "cube.txt"
+        rows = (" ".join(str((y + (x - y) ** 3) % 11) for y in range(11)) for x in range(11))
+        path.write_text("11\n" + "\n".join(rows) + "\n")
+        code, out, _ = run(capsys, "validate", str(path))
+        lines = out.splitlines()
+        assert (code, len(lines), len(passes)) == (1, 101, 1)
+        assert lines[-1].startswith("... and ")
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
@@ -472,13 +490,13 @@ print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))
 """
 
 
-def _run_measured(tmp_path, verb, n, op):
+def _run_measured(tmp_path, verb, n, op, *options):
     """(exit code, stdout, stderr, peak RSS in MB) of verb on the table x > y = op(x, y, n)."""
     path = tmp_path / "table.txt"
     rows = (" ".join(str(op(x, y, n)) for y in range(n)) for x in range(n))
     path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
     files = [str(path)] * (2 if verb == "iso" else 1)
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, verb, *files],
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, verb, *files, *options],
                           capture_output=True, text=True, check=True)
     code, out, err, peak = json.loads(proc.stdout)
     # ru_maxrss counts kilobytes on Linux and bytes on macOS.
@@ -511,6 +529,27 @@ def test_validate_lists_100_violations_of_an_invalid_table_and_counts_the_rest(t
     assert (code, err, len(lines)) == (1, "", 101)
     assert lines[0] == "violation: 1 acted on by itself moves away from itself"
     assert lines[-1] == "... and 2724439 more violations"
+    assert peak_mb < 100
+
+
+_PAIRS_OF_9 = list(itertools.combinations(range(9), 2))
+
+
+def _transposition(x, y, n):
+    # Point x is the transposition of the pair _PAIRS_OF_9[x]; x > y swaps
+    # y's two points inside x.
+    swap = dict(zip(_PAIRS_OF_9[y], reversed(_PAIRS_OF_9[y])))
+    return _PAIRS_OF_9.index(tuple(sorted(swap.get(p, p) for p in _PAIRS_OF_9[x])))
+
+
+@pytest.mark.parametrize("options", [(), ("--tree",)], ids=["decompose", "tree"])
+def test_decompose_builds_no_inner_group(tmp_path, options):
+    # The order-36 transposition quandle of S_9 is connected and its inner
+    # group is S_9: building that group took 508 MB.
+    code, out, err, peak_mb = _run_measured(tmp_path, "decompose", 36, _transposition, *options)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["connected"] if options else len(obj["blocks"]) == 1
     assert peak_mb < 100
 
 

@@ -311,6 +311,26 @@ class TestDecompose:
                 for block, orbit in zip(dec.blocks, orbits):
                     assert block == q.subquandle(orbit)
 
+    def test_no_group_is_built(self, monkeypatch):
+        # orbits(), decompose and decomposition_tree read the table alone.
+        blocks = [dihedral_quandle(3), trivial_quandle(2), dihedral_quandle(5)]
+        rng = random.Random(23)
+        fresh = [
+            disjoint_union(blocks).relabel(Permutation(tuple(rng.sample(range(10), 10))))
+            for _ in range(3)
+        ]
+        calls = []
+        for name in ("quandles.perm", "quandles.quandle"):
+            module = importlib.import_module(name)
+            real = module.generate_group
+            monkeypatch.setattr(
+                module, "generate_group", lambda *args, real=real: calls.append(args) or real(*args)
+            )
+        for q, call in zip(fresh, (Quandle.orbits, decompose, decomposition_tree)):
+            assert "inner" not in q._cache
+            call(q)
+        assert calls == [] and all("inner" not in q._cache for q in fresh)
+
     def test_round_trip_bit_exact(self, censuses):
         for n in range(2, 5):
             for q in censuses.brute(n).tables:

@@ -133,8 +133,12 @@ class TestValidation:
                     rows = [list(row) for row in q.table]
                     rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n + 1)
                     tables.append(rows)
-        counts = [quandle_module._violation_count(t) for t in tables]
-        assert counts == [len(axiom_violations(t)) for t in tables]
+        counts = []
+        for t in tables:
+            every = axiom_violations(t)
+            listed, count = quandle_module._violation_listing(t, 3)
+            assert (listed, count) == (every[:3], len(every))
+            counts.append(count)
         assert sum(map(bool, counts)) > 300
 
     def test_ragged_table_rejected(self):
@@ -337,6 +341,21 @@ class TestOrbits:
                 for orbit in q.orbits():
                     assert is_quandle_table(q.subquandle(orbit).table)
 
+    def test_orbits_are_the_inner_groups_orbits(self, censuses):
+        # orbits() reads the table; the inner group's orbits are the definition.
+        rng = random.Random(19)
+        quandles = [
+            Quandle(glued_table()),
+            disjoint_union([dihedral_quandle(3), trivial_quandle(2), dihedral_quandle(5)]),
+        ]
+        for n in range(1, 7):
+            for q in censuses.brute(n).tables:
+                quandles += [q, _seeded_relabeling(q, rng)]
+        for q in quandles:
+            inner = q.inner_group()
+            assert q.orbits() == sorted({inner.orbit(x) for x in range(q.order)})
+            assert q.is_connected() == (len(q.orbits()) == 1)
+
     def test_connected_order_divides_inner_order(self, censuses):
         for n in range(1, 6):
             for q in censuses.brute(n).tables:
@@ -411,8 +430,12 @@ def alexander_gf8():
 
 
 def _orbits_joined_with_twins(q):
-    """The least point of each class of the join, among the points with a non-constant row."""
-    classes = [set(orbit) for orbit in q.orbits()]
+    """The least point of each class of the join, among the points with a non-constant row.
+
+    The orbits are the inner group's, and the twins come from _twin_classes.
+    """
+    inner = q.inner_group()
+    classes = [set(orbit) for orbit in {inner.orbit(x) for x in range(q.order)}]
     for x, twin in enumerate(q._twin_classes()):
         (a,) = (c for c in classes if x in c)
         (b,) = (c for c in classes if twin in c)
@@ -421,6 +444,19 @@ def _orbits_joined_with_twins(q):
             a |= b
     n = q.order
     return sorted(min(c) for c in classes if q.table[min(c)].count(min(c)) < n)
+
+
+def _spy_on_root_starts(monkeypatch):
+    """The starts each _canonical_table search is given from here on, in call order."""
+    starts = []
+    real = quandle_module._canonical_table
+
+    def spy(table, twin, roots):
+        starts.append(list(roots))
+        return real(table, twin, roots)
+
+    monkeypatch.setattr(quandle_module, "_canonical_table", spy)
+    return starts
 
 
 class TestCanonicalForm:
@@ -464,25 +500,26 @@ class TestCanonicalForm:
         canon = d5.canonical_form()
         q = _seeded_relabeling(d5, random.Random(15))
         assert q.is_connected() and q._twin_classes() == list(range(5))
-        starts = []
-        real = quandle_module._root_starts
-        monkeypatch.setattr(
-            quandle_module, "_root_starts", lambda table: starts.append(real(table)) or starts[-1]
-        )
+        starts = _spy_on_root_starts(monkeypatch)
         q._cache.pop("canon", None)
         assert q.canonical_form() == canon
         assert starts == [[0]]
 
-    def test_root_starts_are_the_inner_orbits_joined_with_twins(self, censuses):
+    def test_root_starts_are_the_inner_orbits_joined_with_twins(self, censuses, monkeypatch):
+        starts = _spy_on_root_starts(monkeypatch)
         glued = Quandle(glued_table())
-        starts = quandle_module._root_starts(glued.table)
-        assert starts == _orbits_joined_with_twins(glued) == [0, 1]
+        glued._cache.pop("canon", None)
+        glued.canonical_form()
+        assert starts == [_orbits_joined_with_twins(glued)] == [[0, 1]]
         rng = random.Random(17)
         pairs = 0
         for n in range(1, 7):
             for canon in censuses.brute(n).tables:
                 q = _seeded_relabeling(canon, rng)
-                assert quandle_module._root_starts(q.table) == _orbits_joined_with_twins(q)
+                starts.clear()
+                q._cache.pop("canon", None)
+                assert q.canonical_form() == canon
+                assert starts == [_orbits_joined_with_twins(q)]
                 pairs += sum(
                     t != x and q.table[x].count(x) < n for x, t in enumerate(q._twin_classes())
                 )
