@@ -2,7 +2,8 @@
 
 The package has three layers.  perm and quandle hold the basic objects
 (permutation groups, operation tables, symmetries, inner and automorphism
-groups).  augment and decompose implement the mesh calculus: splitting any
+groups), and _subgroups is perm's numpy search for the subgroup classes
+of S_n.  augment and decompose implement the mesh calculus: splitting any
 quandle into its orbit blocks plus the cross-block actions, and composing
 such data back when it is coherent.  enumeration builds all connected
 quandles of an order from transitive group data, and oracle brute-forces

