@@ -305,11 +305,9 @@ def _subgroup_classes(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _transitive_class_rows(n: int) -> list[list[tuple[int, ...]]]:
     """The image rows of each transitive class in _subgroup_classes(n), in its order."""
-    # The lexicographic order the index numbers S_n in.
+    found = _subgroup_classes(n)
+    # The lexicographic order the index numbers S_n in, listed after the
+    # search so that its n! rows are not alive at the search's peak.
     perms = list(itertools.permutations(range(n)))
-    classes = []
-    for elements in _subgroup_classes(n):
-        rows = [perms[e] for e in elements]
-        if len({row[0] for row in rows}) == n:
-            classes.append(rows)
-    return classes
+    classes = ([perms[e] for e in elements] for elements in found)
+    return [rows for rows in classes if len({row[0] for row in rows}) == n]

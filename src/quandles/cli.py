@@ -65,6 +65,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_info(args: argparse.Namespace) -> tuple[int, str]:
     q = _read_quandle(args.file)
+    check_order(q.order)  # refused before any group is built
     orbits = " ".join("{" + ",".join(map(str, orbit)) + "}" for orbit in q.orbits())
     fields = [
         ("order", q.order),

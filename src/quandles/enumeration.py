@@ -7,12 +7,14 @@ lives on the right cosets of H, which biject with points via g -> g(0):
 
     i > j  =  (reps_i * reps_j^-1 * z * reps_j)(0)  =  conj_j(i).
 
-A ConnectedSeed is the pair (G, z) and derives H and the coset
-representatives itself; G computes H once and keeps it.  realize extracts
-the seed from a connected quandle (G its inner group, z the symmetry at 0);
-coset_quandle rebuilds the table.  A CensusEntry is a seed alone and
-derives the canonical form of its quandle.  The enumerator walks all
-transitive subgroup classes of S_n and all central z of the stabilizer,
+A ConnectedSeed is the pair (G, z) and derives H, the coset
+representatives and the conjugates conj_k of z, which are the quandle's
+symmetries; G computes H once and keeps it.  realize extracts the seed from
+a quandle with one orbit (G its inner group, z the symmetry at 0);
+coset_quandle rebuilds the table and checks the theorem's conclusion,
+Inn(Q) = G, which makes the quandle connected.  A CensusEntry is a seed
+alone and derives the canonical form of its quandle.  The enumerator walks
+all transitive subgroup classes of S_n and all central z of the stabilizer,
 builds an entry for each seed that generates, and keeps the first entry per
 canonical quandle.  Its output is cross-checked against the brute-force
 search in the oracle module, which shares no code with this construction.
@@ -51,9 +53,10 @@ class NotConnectedError(ValueError):
 class ConnectedSeed:
     """A transitive group and a central element z of the stabilizer of 0.
 
-    The stabilizer and the coset representatives are derived here, never
-    passed: reps[k] is the least group element sending 0 to k, so reps[0]
-    is the identity and reps indexes the right cosets of the stabilizer.
+    The stabilizer, the coset representatives and the conjugates are
+    derived here, never passed: reps[k] is the least group element sending
+    0 to k, so reps[0] is the identity and reps indexes the right cosets of
+    the stabilizer, and conjugates[k] is z conjugated by reps[k].
     A group or z of the wrong type raises TypeError; an intransitive group,
     or a z outside the stabilizer or not central in it, raises ValueError.
     """
@@ -62,6 +65,7 @@ class ConnectedSeed:
     z: Permutation
     stabilizer: PermGroup = field(init=False, compare=False)
     reps: tuple[Permutation, ...] = field(init=False, compare=False)
+    conjugates: tuple[Permutation, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         check_type(self.group, PermGroup)
@@ -78,55 +82,52 @@ class ConnectedSeed:
             raise ValueError("z must be central in the stabilizer")
         object.__setattr__(self, "stabilizer", stabilizer)
         object.__setattr__(self, "reps", tuple(reps[k] for k in range(self.group.degree)))
+        object.__setattr__(self, "conjugates", tuple(self.z.conjugated_by(r) for r in self.reps))
 
     @property
     def order(self) -> int:
         return self.group.degree
 
 
-def _conjugates(seed: ConnectedSeed) -> list[Permutation]:
-    return [seed.z.conjugated_by(r) for r in seed.reps]
-
-
 def check_generation(seed: ConnectedSeed) -> bool:
-    """True iff the rep-conjugates of z generate exactly the seed group."""
+    """True iff the conjugates of z generate exactly the seed group."""
     check_type(seed, ConnectedSeed)
-    generated = generate_group(_conjugates(seed), seed.order)
+    generated = generate_group(seed.conjugates, seed.order)
     ensure(generated.is_subgroup_of(seed.group), "conjugates of z leave the seed group")
     return len(generated) == len(seed.group)
 
 
 def coset_quandle(seed: ConnectedSeed) -> Quandle:
-    """The connected quandle the seed defines on coset indices.
+    """The connected quandle the seed defines on coset indices: column k is seed.conjugates[k].
 
-    Requires check_generation; the constructed table always passes full
-    axiom validation and is connected (both verified here, not assumed).
+    Requires check_generation.  The constructed table always passes full
+    axiom validation, and its inner group is the seed group, Inn(Q) = G, so
+    it is connected (both verified here, not assumed).
     """
     if not check_generation(seed):
         raise GenerationFailureError(
             "conjugates of z generate a proper subgroup; no connected quandle arises"
         )
-    conj = _conjugates(seed)
-    n = seed.order
     # Well-definedness: replacing reps[j] by h * reps[j] for h in the
-    # stabilizer must not change conj[j]; z central makes this automatic.
-    for j in (0, n - 1):
+    # stabilizer must not change conjugates[j]; z central makes this automatic.
+    for j in (0, seed.order - 1):
         for h in seed.stabilizer.generators:
-            ensure(seed.z.conjugated_by(h * seed.reps[j]) == conj[j], "coset table ill-defined")
-    table = tuple(tuple(c.images[i] for c in conj) for i in range(n))
-    q = Quandle(table)
-    ensure(q.is_connected(), "coset quandle is not connected")
+            ensure(seed.z.conjugated_by(h * seed.reps[j]) == seed.conjugates[j],
+                   "coset table ill-defined")
+    q = Quandle(tuple(zip(*(c.images for c in seed.conjugates))))
+    ensure(q.inner_group() == seed.group, "coset quandle's inner group is not the seed group")
     return q
 
 
 def realize(q: Quandle) -> ConnectedSeed:
     """The seed of a connected quandle: its inner group and z, the symmetry at 0.
 
-    Feeding the result back through coset_quandle reproduces q exactly, not
-    just up to isomorphism, because the coset of g is determined by g(0).
+    Its conjugates are q's symmetries, so feeding it back through
+    coset_quandle reproduces q exactly, not just up to isomorphism.  A
+    quandle with more than one orbit is refused before any group is built.
     """
     check_type(q, Quandle)
-    if not q.is_connected():
+    if len(q.orbits()) != 1:
         raise NotConnectedError(f"quandle has {len(q.orbits())} orbits, needs exactly 1")
     return ConnectedSeed(q.inner_group(), q.symmetry(0))
 

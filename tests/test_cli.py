@@ -553,6 +553,14 @@ def test_decompose_builds_no_inner_group(tmp_path, options):
     assert peak_mb < 100
 
 
+def test_info_refuses_an_order_above_8_before_it_builds_a_group(tmp_path):
+    # The same quandle: building its inner group before the refusal took
+    # 6.1 s and 508 MB.
+    code, out, err, peak_mb = _run_measured(tmp_path, "info", 36, _transposition)
+    assert (code, out, err) == (2, "", "error: order 36 exceeds the hard bound 8\n")
+    assert peak_mb < 100
+
+
 def _json_paths(obj, prefix=()):
     """Every position in a JSON value, the root included, as key/index tuples."""
     yield prefix

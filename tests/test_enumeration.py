@@ -8,6 +8,8 @@ every connected quandle in range.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import importlib
 import math
 import pickle
 
@@ -29,6 +31,7 @@ from quandles.perm import (
     generate_group,
     transitive_subgroups_up_to_conjugacy,
 )
+from quandles.decompose import disjoint_union
 from quandles.quandle import Quandle, dihedral_quandle, trivial_quandle
 
 from conftest import TAIT_TABLE
@@ -89,6 +92,24 @@ class TestCosetQuandle:
         with pytest.raises(NotConnectedError):
             realize(trivial_quandle(2))
 
+    def test_realize_refuses_before_it_builds_a_group(self, monkeypatch):
+        # Three orbits, R_3 and two fixed points, relabeled so that no other
+        # test has cached an inner group for this table.
+        q = disjoint_union([dihedral_quandle(3), trivial_quandle(2)]).relabel(
+            Permutation((4, 0, 3, 1, 2))
+        )
+        calls = []
+        for name in ("quandles.perm", "quandles.quandle", "quandles.enumeration"):
+            module = importlib.import_module(name)
+            real = module.generate_group
+            monkeypatch.setattr(
+                module, "generate_group", lambda *args, real=real: calls.append(args) or real(*args)
+            )
+        assert "inner" not in q._cache
+        with pytest.raises(NotConnectedError, match="quandle has 3 orbits, needs exactly 1"):
+            realize(q)
+        assert calls == [] and "inner" not in q._cache
+
     def test_realize_tait(self, t3):
         seed = realize(t3)
         assert len(seed.group) == 6
@@ -111,6 +132,16 @@ class TestCosetQuandle:
             for q in censuses.brute(n).connected():
                 seed = realize(q)
                 assert coset_quandle(seed).inner_group() == seed.group
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+    def test_conjugates_are_the_symmetries(self, n, censuses, request):
+        # Column k of the coset quandle is conjugates[k], z conjugated by
+        # reps[k], which is the symmetry S_k of the quandle realized.
+        census = request.getfixturevalue("census_7") if n == 7 else censuses.brute(n)
+        for q in census.connected():
+            seed = realize(q)
+            assert seed.conjugates == tuple(q.symmetries())
+            assert coset_quandle(seed).inner_group() == q.inner_group()
 
     def test_rep_choice_does_not_matter(self, t3):
         seed = realize(t3)
@@ -201,3 +232,11 @@ class TestCopyAndPickle:
                 assert type(twin) is type(value)
                 assert twin == value
             assert duplicate(entry.seed).stabilizer.is_subgroup_of(entry.seed.group)
+            assert duplicate(entry.seed).conjugates == entry.seed.conjugates
+
+    def test_replace_derives_the_conjugates_again(self):
+        for entry in enumerate_connected(5):
+            seed = entry.seed
+            assert dataclasses.replace(seed).conjugates == seed.conjugates
+            identity = Permutation.identity(seed.order)
+            assert dataclasses.replace(seed, z=identity).conjugates == (identity,) * seed.order
